@@ -7,13 +7,17 @@ landing mid-schedule.  :class:`ClusterRunner` executes a precomputed
 workload (:mod:`repro.workload.cluster`) by interleaving every session's
 sender/receiver processes on a single :class:`~repro.net.simulator.Simulator`:
 
-* **Per-site session queues.**  A site participates in at most ``fanout``
-  sessions at a time (default 1 — strictly serialized per site).  Requests
-  that find an endpoint busy queue up and start, oldest first, as capacity
-  frees.  Queue waits are observable (``cluster.queue_wait_seconds``).
-* **Deferred updates.**  A local update arriving while its site is mid-
-  session applies the instant the site frees — mutating a vector that a
-  live coroutine is iterating would corrupt the session.
+* **Per-site session queues and deferred updates** come from the shared
+  :class:`~repro.net.scheduler.SessionScheduler`, as the store's do.  A
+  site participates in at most ``fanout`` sessions at a time (default 1
+  — strictly serialized per site).  Requests that find an endpoint busy
+  queue up and start, oldest first, as capacity frees; queue waits are
+  observable (``cluster.queue_wait_seconds``).  A local update arriving
+  while its site is mid-session applies the instant the site frees —
+  mutating a vector that a live coroutine is iterating would corrupt the
+  session.  This module supplies only what is the fleet's own: building
+  the per-object coroutine pairs, copying vectors for the transactional
+  snapshot, and §2.2's self-increment after a reconciling session.
 * **Scheduling-independent accounting.**  With ``fanout=1`` each vector is
   touched by one session at a time, so every session's traffic depends
   only on the two endpoint states at its start — never on what else is in
@@ -32,55 +36,23 @@ Tracing and metrics reuse the PR 1 instruments: pass a
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.order import Ordering
 from repro.core.rotating import BasicRotatingVector
-from repro.errors import SimulationError
 from repro.net.channel import ChannelSpec
-from repro.net.faults import RetryPolicy, derive_seed
-from repro.net.runner import (SessionOptions, TimedSessionResult, launch,
-                              run_timed)
+from repro.net.faults import RetryPolicy
+from repro.net.runner import TimedSessionResult, launch, run_timed
+from repro.net.scheduler import SessionScheduler
 from repro.net.sharding import ShardMap, build_shard_map
-from repro.net.simulator import Simulator
 from repro.net.stats import TransferStats
-from repro.net.topology import LinkProfile, TopologySpec
+from repro.net.topology import TopologySpec
 from repro.net.wire import DEFAULT_ENCODING, Encoding
 from repro.obs.metrics import MetricsRegistry, observe_session
 from repro.obs.trace import Tracer
 from repro.protocols import registry
 from repro.workload.cluster import SessionRequest, UpdateRequest
-
-
-class _ProtocolTable:
-    """Legacy read-only view of the registry: name -> (vector_cls, reconciles).
-
-    Kept so historical call sites (``PROTOCOLS["srv"]``, ``in PROTOCOLS``,
-    ``sorted(PROTOCOLS)``) keep working; all dispatch goes through
-    :mod:`repro.protocols.registry`.
-    """
-
-    def __getitem__(self, name: str) -> Tuple[type, bool]:
-        spec = registry.get(name)
-        return (spec.vector_cls, spec.reconciles)
-
-    def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and name in registry.names()
-
-    def __iter__(self):
-        return iter(registry.names())
-
-    def __len__(self) -> int:
-        return len(registry.names())
-
-    def keys(self):
-        return registry.names()
-
-
-#: protocol name -> (vector class, supports automatic reconciliation)
-PROTOCOLS = _ProtocolTable()
 
 
 @dataclass(frozen=True)
@@ -135,9 +107,9 @@ class ClusterConfig:
     topology: Optional[TopologySpec] = None
 
     def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOLS:
+        if self.protocol not in registry.names():
             raise ValueError(f"unknown protocol {self.protocol!r}; "
-                             f"expected one of {sorted(PROTOCOLS)}")
+                             f"expected one of {registry.names()}")
         # Resolve eagerly so a typo'd backend fails at config time.
         registry.get(self.protocol).vector_class(self.backend)
         if self.fanout < 1:
@@ -262,7 +234,7 @@ class ClusterResult:
         return [r.result.stats.total_bits for r in self.records]
 
 
-class ClusterRunner:
+class ClusterRunner(SessionScheduler):
     """Schedules many concurrent pairwise sessions on one simulator.
 
     One-shot: construct, :meth:`run` once, read the result.  The runner
@@ -275,23 +247,15 @@ class ClusterRunner:
                  metrics: Optional[MetricsRegistry] = None,
                  monitor: Optional[Any] = None,
                  shards: Optional[ShardMap] = None) -> None:
-        self.sites = list(sites)
-        if len(set(self.sites)) != len(self.sites):
+        sites = list(sites)
+        if len(set(sites)) != len(sites):
             raise ValueError("duplicate site names in cluster")
-        self.config = config
-        if monitor is not None and tracer is None:
-            # The monitor feeds on the trace stream; a run launched
-            # without a tracer adopts the monitor's private one so there
-            # are reliability events to observe.
-            tracer = monitor.tracer
-        self.tracer = tracer
-        self.metrics = metrics
-        self.monitor = monitor
+        super().__init__(sites, config, fanout=config.fanout, tracer=tracer,
+                         metrics=metrics, monitor=monitor)
         self.shards = shards
         self.topology = config.topology
-        spec = registry.get(config.protocol)
-        vector_cls = spec.vector_class(config.backend)
-        self._reconciles = spec.reconciles
+        self._spec = registry.get(config.protocol)
+        vector_cls = self._spec.vector_class(config.backend)
         self._site_set = set(self.sites)
         if shards is not None:
             if shards.n_objects != config.n_objects:
@@ -318,26 +282,11 @@ class ClusterRunner:
             #: Object-0 view, the whole state for single-object clusters.
             self.vectors = {
                 site: self.objects[site][0] for site in self.sites}
-        self._sim: Optional[Simulator] = None
-        self._usage: Dict[str, int] = {site: 0 for site in self.sites}
-        self._deferred: Dict[str, List[UpdateRequest]] = {
-            site: [] for site in self.sites}
-        # Pending sessions keyed by arrival sequence (insertion-ordered),
-        # with a per-site index of waiting sequence numbers so a finish
-        # only rescans requests touching the freed endpoints.
-        self._pending: Dict[int, SessionRequest] = {}
-        self._pending_by_site: Dict[str, List[int]] = {
-            site: [] for site in self.sites}
-        self._next_seq = 0
-        self._requested_at: Dict[int, float] = {}
-        self._records: List[ClusterSessionRecord] = []
         self._log: List[LogEntry] = []
-        self._totals = TransferStats()
         self._updates_applied = 0
         self._updates_deferred = 0
         self._reconciliations = 0
         self._skipped_sessions = 0
-        self._finished = False
 
     def hosted_objects(self, site: str) -> Tuple[int, ...]:
         """Object ids ``site`` replicates (all of them when unsharded)."""
@@ -345,77 +294,18 @@ class ClusterRunner:
             return tuple(range(self.config.n_objects))
         return self.shards.hosted.get(site, ())
 
-    def _channel_for(self, src: str, dst: str) -> ChannelSpec:
-        """The channel one session uses — region-pair aware when a
-        topology is set, the single shared channel otherwise."""
-        if self.topology is None:
-            return self.config.channel
-        return self.topology.channel_for(src, dst)
-
     # -- scheduling ------------------------------------------------------------
 
     def run(self, sessions: Iterable[SessionRequest],
             updates: Iterable[UpdateRequest] = ()) -> ClusterResult:
         """Execute the schedule to completion; returns the measurements."""
-        if self._finished:
-            raise SimulationError("ClusterRunner instances are one-shot")
-        self._finished = True
-        sim = self._sim = Simulator()
-        tracer = self.tracer
-        previous_clock = tracer.clock if tracer is not None else None
-        span = None
-        if tracer is not None:
-            tracer.clock = lambda: sim.now
-            # The channel parameters on the span let the causal analyzer
-            # decompose every send→deliver hop exactly (latency +
-            # bits/bandwidth + fault-injected delay, zero residual).
-            span = tracer.span(f"cluster:{self.config.protocol}",
-                               sites=len(self.sites),
-                               fanout=self.config.fanout,
-                               protocol=self.config.protocol,
-                               latency=self.config.channel.latency,
-                               bandwidth=self.config.channel.bandwidth)
-        if self.monitor is not None:
-            self.monitor.attach(self)
-        try:
-            for request in sessions:
-                self._check_sites(request.src, request.dst)
-                if request.src == request.dst:
-                    raise ValueError(
-                        f"session {request} pairs a site with itself")
-                sim.call_at(request.at,
-                            lambda r=request: self._on_session_request(r))
-            for update in updates:
-                self._check_sites(update.site)
-                obj = getattr(update, "obj", 0)
-                if not 0 <= obj < self.config.n_objects:
-                    raise ValueError(
-                        f"update {update} names object {obj}, but the "
-                        f"cluster has {self.config.n_objects}")
-                if self.shards is not None \
-                        and not self.shards.hosts(update.site, obj):
-                    raise ValueError(
-                        f"update {update} lands on {update.site}, which "
-                        f"does not replicate object {obj}")
-                sim.call_at(update.at,
-                            lambda u=update: self._on_update_request(u))
-            sim.run()
-            if self.monitor is not None:
-                self.monitor.finalize()
-        finally:
-            if span is not None:
-                span.end()
-            if tracer is not None:
-                tracer.flush_sampling()
-                tracer.clock = previous_clock
-        if self._pending or any(self._usage.values()):
-            raise SimulationError(  # pragma: no cover - defensive
-                "cluster drained with sessions still queued or active")
+        self._run(lambda: self._drive(sessions, updates), "cluster",
+                  fanout=self.config.fanout)
         return ClusterResult(
             records=self._records,
             log=self._log,
             totals=self._totals,
-            completion_time=sim.now,
+            completion_time=self.sim.now,
             updates_applied=self._updates_applied,
             updates_deferred=self._updates_deferred,
             reconciliations=self._reconciliations,
@@ -425,6 +315,32 @@ class ClusterRunner:
             skipped_sessions=self._skipped_sessions,
         )
 
+    def _drive(self, sessions: Iterable[SessionRequest],
+               updates: Iterable[UpdateRequest]) -> None:
+        sim = self.sim
+        for request in sessions:
+            self._check_sites(request.src, request.dst)
+            if request.src == request.dst:
+                raise ValueError(
+                    f"session {request} pairs a site with itself")
+            sim.call_at(request.at,
+                        lambda r=request: self._on_session_request(r))
+        for update in updates:
+            self._check_sites(update.site)
+            obj = getattr(update, "obj", 0)
+            if not 0 <= obj < self.config.n_objects:
+                raise ValueError(
+                    f"update {update} names object {obj}, but the "
+                    f"cluster has {self.config.n_objects}")
+            if self.shards is not None \
+                    and not self.shards.hosts(update.site, obj):
+                raise ValueError(
+                    f"update {update} lands on {update.site}, which "
+                    f"does not replicate object {obj}")
+            sim.call_at(update.at,
+                        lambda u=update: self._on_update_request(u))
+        sim.run()
+
     def _check_sites(self, *names: str) -> None:
         for name in names:
             if name not in self._site_set:
@@ -433,15 +349,16 @@ class ClusterRunner:
     # -- updates ---------------------------------------------------------------
 
     def _on_update_request(self, update: UpdateRequest) -> None:
-        if self._usage[update.site] > 0:
+        site, obj = update.site, getattr(update, "obj", 0)
+        if self._busy(site):
             # Mid-session: mutating a vector a live coroutine iterates
             # would corrupt the session; hold the update until it frees.
-            self._deferred[update.site].append(update)
+            self._defer(site, lambda: self._apply_update(site, obj))
             self._updates_deferred += 1
             if self.metrics is not None:
                 self.metrics.counter("cluster.updates_deferred").inc()
             return
-        self._apply_update(update.site, getattr(update, "obj", 0))
+        self._apply_update(site, obj)
 
     def _apply_update(self, site: str, obj: int = 0) -> None:
         self.objects[site][obj].record_update(site)
@@ -467,54 +384,7 @@ class ClusterRunner:
             # never produce these; hand-written schedules may.
             self._skipped_sessions += 1
             return
-        self._requested_at[id(request)] = self._sim.now
-        if self.tracer is not None:
-            # The session index is unknown until the session starts;
-            # the analyzer matches requests to starts FIFO per (src,
-            # dst) pair — exactly the order _dispatch starts them.
-            self.tracer.event("session_request", party=request.dst,
-                              peer=request.src)
-        # Dispatch invariant: every already-pending request has at least
-        # one endpoint at capacity (established by the freed-site scan
-        # below), and nothing has freed since — so the only request that
-        # can start right now is this one.
-        fanout = self.config.fanout
-        if (self._usage[request.src] < fanout
-                and self._usage[request.dst] < fanout):
-            self._start(request)
-            return
-        seq = self._next_seq
-        self._next_seq += 1
-        self._pending[seq] = request
-        self._pending_by_site[request.src].append(seq)
-        self._pending_by_site[request.dst].append(seq)
-
-    def _dispatch(self, freed: Tuple[str, ...]) -> None:
-        """Start queued sessions startable now that ``freed`` has capacity.
-
-        Only requests touching a freed endpoint can have become
-        startable (everything else kept its saturated endpoint), so the
-        scan covers just those two sites' queues — in global arrival
-        order, consuming capacity exactly as the historical full
-        oldest-first pass over all pending requests did.  Entries
-        consumed by an earlier scan are pruned lazily here.
-        """
-        fanout = self.config.fanout
-        pending = self._pending
-        by_site = self._pending_by_site
-        candidates = set()
-        for site in freed:
-            live = [seq for seq in by_site[site] if seq in pending]
-            by_site[site] = live
-            candidates.update(live)
-        for seq in sorted(candidates):
-            request = pending.get(seq)
-            if request is None:
-                continue  # started earlier in this very scan
-            if (self._usage[request.src] < fanout
-                    and self._usage[request.dst] < fanout):
-                del pending[seq]
-                self._start(request)
+        self._request(request)
 
     def _session_objects(self, request: SessionRequest
                          ) -> Tuple[int, ...]:
@@ -532,119 +402,87 @@ class ClusterRunner:
                 f"{sorted(extra)} the pair does not share")
         return tuple(objs)
 
-    def _build_pairs(self, src: str, dst: str, objs: Tuple[int, ...]
-                     ) -> Tuple[List[Ordering], List[bool],
-                                Tuple[Tuple[Any, Any], ...]]:
-        """Fresh coroutine pairs over the endpoints' *current* state."""
-        spec = registry.get(self.config.protocol)
+    def _build_pairs(self, record: ClusterSessionRecord
+                     ) -> Tuple[Tuple[Any, Any], ...]:
+        """Fresh coroutine pairs over the endpoints' *current* state.
+
+        Updates the record's verdicts; an object counts as reconciled
+        once any attempt reconciled it.
+        """
+        src_objects = self.objects[record.src]
+        dst_objects = self.objects[record.dst]
         verdicts: List[Ordering] = []
-        reconciled_flags: List[bool] = []
+        flags: List[bool] = []
         pairs: List[Tuple[Any, Any]] = []
-        for obj in objs:
-            verdict = self.objects[dst][obj].compare(self.objects[src][obj])
-            sender, receiver, reconciled = spec.build(
-                self.objects[src][obj], self.objects[dst][obj], verdict,
+        for obj in record.objects:
+            verdict = dst_objects[obj].compare(src_objects[obj])
+            sender, receiver, reconciled = self._spec.build(
+                src_objects[obj], dst_objects[obj], verdict,
                 tracer=self.tracer)
             verdicts.append(verdict)
-            reconciled_flags.append(reconciled)
+            flags.append(reconciled)
             pairs.append((sender, receiver))
-        return verdicts, reconciled_flags, tuple(pairs)
+        before = record.reconciled_objects
+        if before:
+            flags = [old or new for old, new in zip(before, flags)]
+        self._reconciliations += sum(flags) - sum(before)
+        record.verdicts = tuple(verdicts)
+        record.reconciled_objects = tuple(flags)
+        record.verdict = verdicts[0]
+        record.reconciled = flags[0]
+        return tuple(pairs)
 
-    def _start(self, request: SessionRequest) -> None:
-        sim = self._sim
-        config = self.config
+    def _start(self, request: SessionRequest, requested_at: float) -> None:
         src, dst = request.src, request.dst
         objs = self._session_objects(request)
-        channel = self._channel_for(src, dst)
-        verdicts, reconciled_flags, pairs = self._build_pairs(src, dst, objs)
         record = ClusterSessionRecord(
             index=len(self._records), src=src, dst=dst,
-            requested_at=self._requested_at.pop(id(request), sim.now),
-            started_at=sim.now, verdict=verdicts[0],
-            reconciled=reconciled_flags[0], verdicts=tuple(verdicts),
-            reconciled_objects=tuple(reconciled_flags), objects=objs)
+            requested_at=requested_at, started_at=self.sim.now,
+            verdict=Ordering.EQUAL, reconciled=False, objects=objs)
+        pairs = self._build_pairs(record)
         self._records.append(record)
         # Sharded logs carry the synchronized object subset so replay
         # rebuilds the identical per-session pairing; unsharded entries
         # keep the historical three-tuple shape.
         self._log.append(("session", src, dst) if self.shards is None
                          else ("session", src, dst, objs))
-        self._usage[src] += 1
-        self._usage[dst] += 1
-        self._reconciliations += sum(reconciled_flags)
+        self._occupy(src, dst)
         if self.tracer is not None:
             self.tracer.event("session_start", party=dst, peer=src,
-                              verdict=verdicts[0].name.lower(),
+                              verdict=record.verdict.name.lower(),
                               session=record.index)
         if self.monitor is not None:
             # Before launch: the monitor snapshots the endpoints here so
             # its post-session ancestor-closure oracle has the pre-state.
             self.monitor.on_session_start(record)
-        common = dict(
-            # A single-object session runs the historical per-object
-            # path regardless of batch_size, as it always has.
-            batch_size=config.batch_size if len(pairs) > 1 else 1,
-            channel=channel, encoding=config.encoding,
-            stop_and_wait=config.stop_and_wait, proc_time=config.proc_time,
-            max_steps=config.max_steps, tracer=self.tracer,
-            party_names=(src, dst), retry=config.retry,
-            session_id=record.index,
-            on_complete=lambda result: self._finish(record, result))
-        if not channel.faults.enabled:
-            launch(sim, SessionOptions(pairs=pairs, **common))
-            return
+        launch(self.sim, self._session_options(
+            record, pairs, stop_and_wait=self.config.stop_and_wait))
 
-        first_pairs: List[Tuple[Tuple[Any, Any], ...]] = [pairs]
-        # Attempts are transactional: the protocols stream Δ newest-first,
-        # so a torn attempt's acked prefix is never ancestor-closed and
-        # committing it would corrupt the receiver's knowledge state (a
-        # vector claiming an element without its causal past halts every
-        # later sync prematurely).  Snapshot the receiver's objects now;
-        # resume restores them and re-handshakes from this state.  Safe
-        # because updates to a busy site are deferred and fanout capacity
-        # means no other session writes ``dst`` meanwhile.
-        snapshots = tuple(self.objects[dst][obj].copy() for obj in objs)
+    def _snapshot(self, record: ClusterSessionRecord
+                  ) -> Tuple[BasicRotatingVector, ...]:
+        dst_objects = self.objects[record.dst]
+        return tuple(dst_objects[obj].copy() for obj in record.objects)
 
-        def rebuild() -> Tuple[Tuple[Any, Any], ...]:
-            if first_pairs:
-                return first_pairs.pop()
-            for obj, snapshot in zip(objs, snapshots):
-                # In place: result views and the site table alias these
-                # objects, so identity must survive the rollback.
-                self.objects[dst][obj].restore(snapshot)
-            new_verdicts, new_flags, new_pairs = self._build_pairs(
-                src, dst, objs)
-            merged = tuple(old or new for old, new
-                           in zip(record.reconciled_objects, new_flags))
-            self._reconciliations += sum(
-                1 for old, new in zip(record.reconciled_objects, new_flags)
-                if new and not old)
-            record.verdicts = tuple(new_verdicts)
-            record.reconciled_objects = merged
-            record.verdict = new_verdicts[0]
-            record.reconciled = merged[0]
-            return new_pairs
-
-        launch(sim, SessionOptions(
-            rebuild=rebuild,
-            fault_seed=derive_seed(channel.faults.seed, record.index),
-            **common))
+    def _restore(self, record: ClusterSessionRecord,
+                 saved: Tuple[BasicRotatingVector, ...]) -> None:
+        dst_objects = self.objects[record.dst]
+        for obj, snapshot in zip(record.objects, saved):
+            # In place: result views and the site table alias these
+            # objects, so identity must survive the rollback.
+            dst_objects[obj].restore(snapshot)
 
     def _finish(self, record: ClusterSessionRecord,
                 result: TimedSessionResult) -> None:
-        record.result = result
-        self._totals.merge(result.stats)
         if self.monitor is not None:
             # Before the §2.2 self-increment below: the closure oracle
             # expects the receiver to hold exactly max(pre-state, sender).
             self.monitor.on_session_end(record, result)
         src, dst = record.src, record.dst
-        self._usage[src] -= 1
-        self._usage[dst] -= 1
         if self.config.increment_on_merge:
             # §2.2: the pulling site increments its own element after an
-            # automatic merge, per reconciled object.  Not logged — replay
-            # derives it from the session verdicts, exactly as here.
+            # automatic merge, per reconciled object.  Not logged —
+            # replay_sequential re-derives it here from the replayed
+            # session's verdicts.
             for obj, reconciled in zip(record.objects,
                                        record.reconciled_objects):
                 if reconciled:
@@ -664,29 +502,6 @@ class ClusterRunner:
                             completion_time=result.duration)
             self.metrics.histogram("cluster.queue_wait_seconds").observe(
                 record.queue_wait)
-        # Updates that arrived mid-session land before anything queued
-        # gets to start on the freed endpoints.
-        for site in (src, dst):
-            if self._usage[site] == 0 and self._deferred[site]:
-                deferred, self._deferred[site] = self._deferred[site], []
-                for update in deferred:
-                    self._apply_update(site, getattr(update, "obj", 0))
-        self._dispatch((src, dst))
-
-
-def build_session_coroutines(protocol: str, b: BasicRotatingVector,
-                             a: BasicRotatingVector, verdict: Ordering, *,
-                             tracer: Optional[Tracer] = None
-                             ) -> Tuple[Any, Any, bool]:
-    """(sender, receiver, reconciled) for ``SYNC*_b(a)`` under ``verdict``.
-
-    ``reconciled`` reports whether the receiver will perform an automatic
-    merge (always False for BRV, which raises on concurrent inputs
-    instead — Algorithm 2's ``Require: a ∦ b``).  Thin delegation to
-    :meth:`repro.protocols.registry.ProtocolSpec.build` — the registry is
-    the single dispatch authority.
-    """
-    return registry.get(protocol).build(b, a, verdict, tracer=tracer)
 
 
 def replay_sequential(sites: Iterable[str], config: ClusterConfig,
@@ -709,23 +524,13 @@ def replay_sequential(sites: Iterable[str], config: ClusterConfig,
     replay guarantee covers probabilistic faults only.  Returns the
     per-session results and every site's object-0 vector.
     """
-    spec = registry.get(config.protocol)
-    vector_cls = spec.vector_class(config.backend)
-    if shards is not None:
-        objects: Dict[str, Any] = {
-            site: {obj: vector_cls()
-                   for obj in shards.hosted.get(site, ())}
-            for site in sites}
-    else:
-        objects = {
-            site: [vector_cls() for _ in range(config.n_objects)]
-            for site in sites}
+    # The runner's own pair building, transactional attempts and §2.2
+    # self-increment, each session alone on its private simulator.
+    runner = ClusterRunner(sites, config, shards=shards)
     results: List[TimedSessionResult] = []
-    session_index = -1
     for entry in log:
         if entry[0] == "update":
-            obj = entry[2] if len(entry) > 2 else 0
-            objects[entry[1]][obj].record_update(entry[1])
+            runner._apply_update(entry[1], entry[2] if len(entry) > 2 else 0)
             continue
         if entry[0] != "session":  # pragma: no cover - defensive
             raise ValueError(f"unknown log entry {entry!r}")
@@ -734,60 +539,19 @@ def replay_sequential(sites: Iterable[str], config: ClusterConfig,
         # three-tuples cover the whole object range, as always.
         objs = tuple(entry[3]) if len(entry) > 3 \
             else tuple(range(config.n_objects))
-        channel = config.channel if config.topology is None \
-            else config.topology.channel_for(src, dst)
-        session_index += 1
-        reconciled_any = {obj: False for obj in objs}
-        # Mirrors the concurrent runner's transactional attempts: the
-        # first build snapshots the receiver's objects, every resume
-        # restores them before re-handshaking (see ClusterRunner._start).
-        snapshots: List[Tuple[Any, ...]] = []
-
-        def build() -> Tuple[Tuple[Any, Any], ...]:
-            if channel.faults.enabled:
-                if not snapshots:
-                    snapshots.append(
-                        tuple(objects[dst][obj].copy() for obj in objs))
-                else:
-                    for obj, snapshot in zip(objs, snapshots[0]):
-                        objects[dst][obj].restore(snapshot)
-            pairs = []
-            for obj in objs:
-                verdict = objects[dst][obj].compare(objects[src][obj])
-                sender, receiver, reconciled = spec.build(
-                    objects[src][obj], objects[dst][obj], verdict)
-                pairs.append((sender, receiver))
-                reconciled_any[obj] |= reconciled
-            return tuple(pairs)
-
-        common = dict(
-            batch_size=config.batch_size if len(objs) > 1 else 1,
-            channel=channel, encoding=config.encoding,
-            stop_and_wait=config.stop_and_wait, proc_time=config.proc_time,
-            max_steps=config.max_steps, retry=config.retry)
-        if channel.faults.enabled:
-            options = SessionOptions(
-                rebuild=build,
-                fault_seed=derive_seed(channel.faults.seed,
-                                       session_index),
-                **common)
-        else:
-            options = SessionOptions(pairs=build(), **common)
-        results.append(run_timed(options))
-        if config.increment_on_merge:
-            for obj, reconciled in reconciled_any.items():
-                if reconciled:
-                    objects[dst][obj].record_update(dst)
+        record = ClusterSessionRecord(
+            index=len(results), src=src, dst=dst, requested_at=0.0,
+            started_at=0.0, verdict=Ordering.EQUAL, reconciled=False,
+            objects=objs)
+        runner._occupy(src, dst)
+        results.append(run_timed(runner._session_options(
+            record, runner._build_pairs(record),
+            stop_and_wait=config.stop_and_wait)))
+    objects = runner.objects
     if shards is not None:
         return results, {site: objs[0] for site, objs in objects.items()
                          if 0 in objs}
     return results, {site: objs[0] for site, objs in objects.items()}
-
-
-#: Legacy ``launch_cluster`` keyword arguments that now live on the
-#: :class:`~repro.net.topology.TopologySpec`; accepted behind a
-#: DeprecationWarning, forbidden for in-repo callers by the CI grep lint.
-_DEPRECATED_LAUNCH_KWARGS = ("fanout", "channel", "chaos_loss")
 
 
 def launch_cluster(spec: TopologySpec, *, protocol: str = "srv",
@@ -801,8 +565,7 @@ def launch_cluster(spec: TopologySpec, *, protocol: str = "srv",
                    shard: Optional[bool] = None,
                    tracer: Optional[Tracer] = None,
                    metrics: Optional[MetricsRegistry] = None,
-                   monitor: Optional[Any] = None,
-                   **deprecated: Any) -> ClusterRunner:
+                   monitor: Optional[Any] = None) -> ClusterRunner:
     """The unified cluster entry point: one ``TopologySpec``, one runner.
 
     Follows the ``launch(sim, SessionOptions)`` precedent: every fleet-
@@ -812,52 +575,15 @@ def launch_cluster(spec: TopologySpec, *, protocol: str = "srv",
     ``spec.site_names()``, sharded via the consistent-hash ring whenever
     the spec carries a replication factor (``shard=`` forces it either
     way).
-
-    The legacy per-config knobs ``fanout=``, ``channel=``, and
-    ``chaos_loss=`` are still accepted as shims, each raising a
-    ``DeprecationWarning`` — new code expresses them through the spec
-    (``gossip.fanout``, link profiles, per-link ``loss``), and the CI
-    grep lint keeps in-repo callers off the shims.
     """
-    unknown = set(deprecated) - set(_DEPRECATED_LAUNCH_KWARGS)
-    if unknown:
-        raise TypeError(
-            f"launch_cluster() got unexpected keyword arguments "
-            f"{sorted(unknown)}")
-    fanout = spec.gossip.fanout if spec.replication is None else 1
-    channel: Optional[ChannelSpec] = None
-    topology: Optional[TopologySpec] = spec
-    if "fanout" in deprecated:
-        warnings.warn(
-            "launch_cluster(fanout=...) is deprecated; set "
-            "TopologySpec.gossip.fanout instead",
-            DeprecationWarning, stacklevel=2)
-        fanout = deprecated["fanout"]
-    if "chaos_loss" in deprecated:
-        warnings.warn(
-            "launch_cluster(chaos_loss=...) is deprecated; set the loss "
-            "on the spec's LinkProfiles instead",
-            DeprecationWarning, stacklevel=2)
-        loss = deprecated["chaos_loss"]
-        profile = LinkProfile(latency=spec.inter.latency,
-                              bandwidth=spec.inter.bandwidth, loss=loss)
-        channel = profile.channel(seed=spec.chaos_seed)
-        topology = None
-    if "channel" in deprecated:
-        warnings.warn(
-            "launch_cluster(channel=...) is deprecated; describe the "
-            "links on the TopologySpec instead",
-            DeprecationWarning, stacklevel=2)
-        channel = deprecated["channel"]
-        topology = None
     config = ClusterConfig(
-        protocol=protocol, encoding=encoding, fanout=fanout,
+        protocol=protocol, encoding=encoding,
+        fanout=spec.gossip.fanout if spec.replication is None else 1,
         stop_and_wait=stop_and_wait, proc_time=proc_time,
         increment_on_merge=increment_on_merge, max_steps=max_steps,
         n_objects=n_objects, batch_size=batch_size,
         retry=retry if retry is not None else RetryPolicy(),
-        backend=backend, topology=topology,
-        **({"channel": channel} if channel is not None else {}))
+        backend=backend, topology=spec)
     do_shard = shard if shard is not None else spec.replication is not None
     shards = build_shard_map(spec, n_objects) if do_shard else None
     return ClusterRunner(spec.site_names(), config, tracer=tracer,

@@ -302,7 +302,7 @@ class ClusterMonitor:
     # -- sampling ----------------------------------------------------------------
 
     def _now(self) -> float:
-        sim = getattr(self._runner, "_sim", None)
+        sim = getattr(self._runner, "sim", None)
         return sim.now if sim is not None else 0.0
 
     def _session_objs(self, record: Any) -> Tuple[int, ...]:

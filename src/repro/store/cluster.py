@@ -1,8 +1,13 @@
-"""The replicated store's cluster scheduler: clients + anti-entropy.
+"""The replicated store's cluster: clients + anti-entropy.
 
 :class:`StoreCluster` hosts one :class:`~repro.store.kv.SiteStore` per
 site on a single discrete-event simulator and drives two kinds of work
-over them:
+over them.  Occupancy, the session queue, op deferral, transactional
+attempts and the run shell are the shared
+:class:`~repro.net.scheduler.SessionScheduler`'s, as for the fleet's
+:class:`~repro.net.cluster.ClusterRunner`; this module supplies the
+per-key coroutine pairs, key snapshots, and the sibling absorb that
+follows a session.
 
 * **Client operations** (:class:`ClientOp`) execute against one site's
   table.  A site that is mid-session defers its client ops until the
@@ -23,9 +28,9 @@ Abort safety (the torn-vector contract)
 ---------------------------------------
 
 On a faulted channel every session snapshots the receiver's records
-before the first attempt.  Each *resume* restores them (in place —
-vector identity survives) before rebuilding coroutines, and a session
-that aborts **permanently** restores them too, via the launcher's
+at its first build.  Each *resume* restores them (in place — vector
+identity survives) before rebuilding coroutines, and a session that
+aborts **permanently** restores them too, via the launcher's
 ``on_abandon`` hook, before the endpoints are released.  Since client
 ops defer while their site is in a session, no read can ever observe a
 torn prefix of an aborted attempt: the key's get result after a failed
@@ -52,11 +57,11 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
 from repro.core.order import Ordering
-from repro.errors import SessionError, SimulationError, ValidationError
+from repro.errors import SessionError, ValidationError
 from repro.net.channel import ChannelSpec
-from repro.net.faults import RetryPolicy, derive_seed
-from repro.net.runner import SessionOptions, TimedSessionResult, launch
-from repro.net.simulator import Simulator
+from repro.net.faults import RetryPolicy
+from repro.net.runner import TimedSessionResult, launch
+from repro.net.scheduler import SessionScheduler
 from repro.net.stats import TransferStats
 from repro.net.topology import TopologySpec, uniform_peer_rounds
 from repro.net.wire import DEFAULT_ENCODING, Encoding
@@ -93,9 +98,11 @@ class StoreConfig:
             supersedes every sibling the coordinator just observed.
             This is the standard defense against sibling explosion
             (unbounded sibling growth under many writers with stale
-            contexts); siblings then arise only from genuinely
-            concurrent cross-site writes and stay bounded by the fleet
-            size.  Off, puts use the client context verbatim.
+            contexts).  It does not bound siblings by the fleet size:
+            values are unioned without per-value dots, and the 8-site
+            demo reaches 48 siblings on one key (19.3 per key on
+            average); dotted version vector siblings are the planned
+            fix.  Off, puts use the client context verbatim.
         read_repair: consult a peer replica on ``get`` and schedule a
             per-key repair session when the replicas diverge.
         retry: ARQ knobs for faulted channels (inert on perfect links).
@@ -203,7 +210,6 @@ class _SyncRequest:
     src: str
     dst: str
     keys: Optional[Tuple[str, ...]]
-    requested_at: float
 
 
 @dataclass
@@ -262,10 +268,11 @@ class StoreRunResult:
                 for key in sorted(first.table)}
 
 
-class StoreCluster:
+class StoreCluster(SessionScheduler):
     """Schedules client ops and per-key anti-entropy on one simulator.
 
-    One-shot like :class:`~repro.net.cluster.ClusterRunner`: construct,
+    One-shot like :class:`~repro.net.cluster.ClusterRunner`, and built on
+    the same :class:`~repro.net.scheduler.SessionScheduler`: construct,
     schedule work (``sim.call_at`` + :meth:`submit` /
     :meth:`request_sync`), :meth:`run` once, read the result.  Sites are
     strictly serialized (fanout 1): a site is in at most one session at
@@ -283,41 +290,26 @@ class StoreCluster:
                     "sites=None requires a StoreConfig.topology to name "
                     "the fleet")
             sites = config.topology.site_names()
-        self.sites = list(sites)
-        if len(self.sites) < 2:
+        sites = list(sites)
+        if len(sites) < 2:
             raise ValidationError("a store cluster needs at least two sites")
-        if len(set(self.sites)) != len(self.sites):
+        if len(set(sites)) != len(sites):
             raise ValidationError("duplicate site names in store cluster")
-        self.config = config
-        if monitor is not None and tracer is None:
-            # Same adoption contract as ClusterRunner/ClusterMonitor: a
-            # cluster built without a tracer uses the monitor's private
-            # one, so store events exist for the observatory to observe.
-            tracer = monitor.tracer
-        self.tracer = tracer
-        self.metrics = metrics
-        self.monitor = monitor
+        super().__init__(sites, config, fanout=1, tracer=tracer,
+                         metrics=metrics, monitor=monitor)
         spec = registry.get(config.protocol)
         self._spec = spec
         vector_cls = spec.vector_class(config.backend)
         self.stores: Dict[str, SiteStore] = {
             site: SiteStore(site, vector_cls) for site in self.sites}
-        self.sim = Simulator()
-        self._usage: Dict[str, int] = {site: 0 for site in self.sites}
-        self._deferred_ops: Dict[str, List[Tuple[ClientOp, float, Optional[
-            Callable[[OpOutcome], None]]]]] = {site: [] for site in self.sites}
-        self._pending: List[_SyncRequest] = []
         #: (src, dst, key) triples with a repair session already queued;
         #: keeps hot keys from flooding the queue with duplicate repairs.
         self._repair_inflight: set = set()
-        self._records: List[StoreSessionRecord] = []
-        self._totals = TransferStats()
         self._ops_applied = 0
         self._ops_deferred = 0
         self._read_repairs = 0
         self._reconciliations = 0
         self._sessions_abandoned = 0
-        self._finished = False
 
     # -- client operations -------------------------------------------------
 
@@ -333,8 +325,8 @@ class StoreCluster:
         if op.site not in self.stores:
             raise ValidationError(f"unknown site {op.site!r}")
         now = self.sim.now
-        if self._usage[op.site] > 0:
-            self._deferred_ops[op.site].append((op, now, on_done))
+        if self._busy(op.site):
+            self._defer(op.site, lambda: self._execute_op(op, now, on_done))
             self._ops_deferred += 1
             if self.metrics is not None:
                 self.metrics.counter("store.ops_deferred").inc()
@@ -359,7 +351,7 @@ class StoreCluster:
             if (self.config.read_repair and op.repair_peer is not None
                     and op.repair_peer != op.site
                     and op.repair_peer in self.stores
-                    and self._usage[op.repair_peer] == 0):
+                    and not self._busy(op.repair_peer)):
                 result, repaired = self._repaired_read(op, result)
         self._ops_applied += 1
         if self.metrics is not None:
@@ -384,9 +376,8 @@ class StoreCluster:
         With coordinated writes (the default) the coordinator unions the
         client's context with its own current context for the key — an
         atomic read-modify-write that covers every sibling the site
-        holds, keeping sibling sets bounded by the number of genuinely
-        concurrent writers (the fleet size) instead of growing with
-        every stale-context put.
+        holds, so a stale-context put cannot leave those siblings
+        behind.
         """
         if not self.config.coordinated_writes:
             return op.context
@@ -459,23 +450,8 @@ class StoreCluster:
                 raise ValidationError(f"unknown site {name!r}")
         if src == dst:
             raise ValidationError(f"sync pairs a site with itself: {src}")
-        request = _SyncRequest(src=src, dst=dst,
-                               keys=tuple(keys) if keys is not None else None,
-                               requested_at=self.sim.now)
-        if self.tracer is not None:
-            self.tracer.event(obs.SESSION_REQUEST, party=dst, peer=src)
-        self._pending.append(request)
-        self._dispatch()
-
-    def _dispatch(self) -> None:
-        still_pending: List[_SyncRequest] = []
-        for request in self._pending:
-            if (self._usage[request.src] == 0
-                    and self._usage[request.dst] == 0):
-                self._start(request)
-            else:
-                still_pending.append(request)
-        self._pending = still_pending
+        self._request(_SyncRequest(
+            src=src, dst=dst, keys=tuple(keys) if keys is not None else None))
 
     def _session_keys(self, request: _SyncRequest) -> Tuple[str, ...]:
         if request.keys is not None:
@@ -484,14 +460,14 @@ class StoreCluster:
         keys.update(self.stores[request.dst].table)
         return tuple(sorted(keys))
 
-    def _build_pairs(self, src: str, dst: str, keys: Tuple[str, ...],
-                     record: StoreSessionRecord) -> Tuple[Tuple[Any, Any],
-                                                          ...]:
+    def _build_pairs(self, record: StoreSessionRecord
+                     ) -> Tuple[Tuple[Any, Any], ...]:
         """Fresh per-key coroutine pairs over the current records."""
+        src_store, dst_store = self.stores[record.src], self.stores[record.dst]
         pairs: List[Tuple[Any, Any]] = []
-        for key in keys:
-            src_vector = self.stores[src].record(key).vector
-            dst_vector = self.stores[dst].record(key).vector
+        for key in record.keys:
+            src_vector = src_store.record(key).vector
+            dst_vector = dst_store.record(key).vector
             verdict = dst_vector.compare(src_vector)
             sender, receiver, reconciled = self._spec.build(
                 src_vector, dst_vector, verdict, tracer=self.tracer)
@@ -501,80 +477,54 @@ class StoreCluster:
             pairs.append((sender, receiver))
         return tuple(pairs)
 
-    def _channel_for(self, src: str, dst: str) -> ChannelSpec:
-        """The channel one session uses — region-pair aware when the
-        config carries a topology, the single shared channel otherwise."""
-        if self.config.topology is None:
-            return self.config.channel
-        return self.config.topology.channel_for(src, dst)
-
-    def _start(self, request: _SyncRequest) -> None:
-        config = self.config
+    def _start(self, request: _SyncRequest, requested_at: float) -> None:
         src, dst = request.src, request.dst
         if request.keys is not None and len(request.keys) == 1:
             self._repair_inflight.discard((src, dst, request.keys[0]))
         keys = self._session_keys(request)
         record = StoreSessionRecord(
             index=len(self._records), src=src, dst=dst, keys=keys,
-            requested_at=request.requested_at, started_at=self.sim.now)
+            requested_at=requested_at, started_at=self.sim.now)
         self._records.append(record)
-        if not keys:
-            # Nothing to synchronize (no keys written yet anywhere);
-            # keep the record for accounting but skip the wire.
-            record.result = None
-            return
-        self._usage[src] += 1
-        self._usage[dst] += 1
         if self.tracer is not None:
             self.tracer.event(obs.SESSION_START, party=dst, peer=src,
                               session=record.index, keys=len(keys))
-        channel = self._channel_for(src, dst)
-        common = dict(
-            batch_size=config.batch_size if len(keys) > 1 else 1,
-            channel=channel, encoding=config.encoding,
-            proc_time=config.proc_time, max_steps=config.max_steps,
-            tracer=self.tracer, party_names=(src, dst), retry=config.retry,
-            session_id=record.index,
-            on_complete=lambda result: self._finish(record, result))
-        pairs = self._build_pairs(src, dst, keys, record)
-        if not channel.faults.enabled:
-            launch(self.sim, SessionOptions(pairs=pairs, **common))
+        if not keys:
+            # Nothing to synchronize (no keys written yet anywhere): keep
+            # the record for accounting and close its trace at once, so
+            # the analyzer's per-pair request/start pairing stays aligned.
+            if self.tracer is not None:
+                self.tracer.event(obs.SESSION_END, party=dst, peer=src,
+                                  session=record.index, bits=0,
+                                  aborted=False)
             return
+        self._occupy(src, dst)
+        launch(self.sim, self._session_options(
+            record, self._build_pairs(record), abandon=True))
 
-        # Transactional attempts: snapshot the receiver's records now;
-        # every resume — and a permanent abandon — restores them before
-        # anything else can observe the torn prefix.
-        snapshots: Dict[str, KeySnapshot] = {
-            key: self.stores[dst].snapshot(key) for key in keys}
-        first_pairs: List[Tuple[Tuple[Any, Any], ...]] = [pairs]
+    def _snapshot(self, record: StoreSessionRecord
+                  ) -> Dict[str, KeySnapshot]:
+        dst_store = self.stores[record.dst]
+        return {key: dst_store.snapshot(key) for key in record.keys}
 
-        def restore_all() -> None:
-            for key, snapshot in snapshots.items():
-                self.stores[dst].restore(key, snapshot)
+    def _restore(self, record: StoreSessionRecord,
+                 saved: Dict[str, KeySnapshot]) -> None:
+        dst_store = self.stores[record.dst]
+        for key, snapshot in saved.items():
+            dst_store.restore(key, snapshot)
 
-        def rebuild() -> Tuple[Tuple[Any, Any], ...]:
-            if first_pairs:
-                return first_pairs.pop()
-            restore_all()
-            return self._build_pairs(src, dst, keys, record)
-
-        def abandon(error: SessionError) -> None:
-            restore_all()
-            record.aborted = True
-            self._sessions_abandoned += 1
-            if self.metrics is not None:
-                self.metrics.counter("store.sessions_abandoned").inc()
-            self._release(record, stats=None)
-
-        launch(self.sim, SessionOptions(
-            rebuild=rebuild, on_abandon=abandon,
-            fault_seed=derive_seed(channel.faults.seed, record.index),
-            **common))
+    def _abandon(self, record: StoreSessionRecord,
+                 error: SessionError) -> None:
+        """A session aborted permanently; its receiver is already rolled
+        back, so no read can observe the torn prefix."""
+        record.aborted = True
+        self._sessions_abandoned += 1
+        if self.metrics is not None:
+            self.metrics.counter("store.sessions_abandoned").inc()
+        self._end(record, stats=None)
 
     def _finish(self, record: StoreSessionRecord,
                 result: TimedSessionResult) -> None:
-        record.result = result
-        self._totals.merge(result.stats)
         src, dst = record.src, record.dst
         dst_store = self.stores[dst]
         for key in record.keys:
@@ -597,17 +547,15 @@ class StoreCluster:
             observe_session(self.metrics, result.stats,
                             protocol=f"store.{self.config.protocol}",
                             completion_time=result.duration)
-        self._release(record, stats=result.stats)
+        self._end(record, stats=result.stats)
 
-    def _release(self, record: StoreSessionRecord,
-                 stats: Optional[TransferStats]) -> None:
-        """Free the endpoints, land deferred ops, dispatch queued syncs."""
-        src, dst = record.src, record.dst
-        self._usage[src] -= 1
-        self._usage[dst] -= 1
+    def _end(self, record: StoreSessionRecord,
+             stats: Optional[TransferStats]) -> None:
+        """Close a session's trace, metrics and monitor view; the
+        scheduler then releases its endpoints."""
         if self.tracer is not None:
-            self.tracer.event(obs.SESSION_END, party=dst, peer=src,
-                              session=record.index,
+            self.tracer.event(obs.SESSION_END, party=record.dst,
+                              peer=record.src, session=record.index,
                               bits=stats.total_bits if stats else 0,
                               aborted=record.aborted)
         if self.metrics is not None:
@@ -616,16 +564,6 @@ class StoreCluster:
                 record.queue_wait)
         if self.monitor is not None:
             self.monitor.on_session_end(self.sim.now)
-        for site in (src, dst):
-            # Flush FIFO, but re-check before every op: a flushed get can
-            # start a read-repair session that re-occupies the site, and
-            # the ops behind it must stay deferred — executing them would
-            # mutate vectors the fresh session's coroutines (and its
-            # transactional snapshot) already captured.
-            while self._usage[site] == 0 and self._deferred_ops[site]:
-                op, submitted_at, on_done = self._deferred_ops[site].pop(0)
-                self._execute_op(op, submitted_at, on_done)
-        self._dispatch()
 
     # -- convergence sweep -------------------------------------------------
 
@@ -658,37 +596,13 @@ class StoreCluster:
         drains again — so the sweep provably runs after the last client
         op has landed.
         """
-        if self._finished:
-            raise SimulationError("StoreCluster instances are one-shot")
-        self._finished = True
-        if self.monitor is not None:
-            self.monitor.attach(self)
-        tracer = self.tracer
-        previous_clock = tracer.clock if tracer is not None else None
-        span = None
-        if tracer is not None:
-            tracer.clock = lambda: self.sim.now
-            span = tracer.span(f"store:{self.config.protocol}",
-                               sites=len(self.sites),
-                               protocol=self.config.protocol,
-                               latency=self.config.channel.latency,
-                               bandwidth=self.config.channel.bandwidth)
-        try:
+        def drain() -> None:
             self.sim.run()
             if converge_via is not None:
                 self.sweep(converge_via)
                 self.sim.run()
-        finally:
-            if span is not None:
-                span.end()
-            if tracer is not None:
-                tracer.flush_sampling()
-                tracer.clock = previous_clock
-        if self.monitor is not None:
-            self.monitor.finalize()
-        if self._pending or any(self._usage.values()):
-            raise SimulationError(  # pragma: no cover - defensive
-                "store cluster drained with sessions still queued or active")
+
+        self._run(drain, "store")
         return StoreRunResult(
             stores=self.stores,
             records=self._records,

@@ -5,7 +5,9 @@ import pytest
 from repro.errors import SimulationError, ValidationError
 from repro.net.channel import ChannelSpec
 from repro.net.faults import FaultSpec, RetryPolicy
+from repro.obs.causal import analyze_tracer
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.store.cluster import (ClientOp, StoreCluster, StoreConfig,
                                  gossip_peers)
 
@@ -95,6 +97,30 @@ class TestDeferral:
         result = c.run()
         assert outcomes and outcomes[0].queue_wait > 0
         assert result.ops_deferred == 1
+
+    def test_flushed_repair_queues_behind_older_syncs(self):
+        # A -> B is live; C -> A waits for A; a get at A defers.  When the
+        # session ends, the flushed get requests a repair C -> A, but the
+        # older queued sync on the freed site starts first, and the put
+        # behind the get stays deferred while that sync holds A.
+        c = cluster()
+        c.submit(ClientOp(kind="put", site="A", key="x", value="va"))
+        c.submit(ClientOp(kind="put", site="C", key="k", value="vc"))
+        c.request_sync("A", "B")
+        c.request_sync("C", "A")
+        outcomes = []
+        c.submit(ClientOp(kind="get", site="A", key="k", repair_peer="C"),
+                 on_done=outcomes.append)
+        c.submit(ClientOp(kind="put", site="A", key="y", value="vy"),
+                 on_done=outcomes.append)
+        result = c.run()
+        assert [(r.src, r.dst, r.keys) for r in result.records] == [
+            ("A", "B", ("x",)), ("C", "A", ("k", "x")),
+            ("C", "A", ("k",))]
+        assert outcomes[0].repaired and outcomes[0].result.values == ("vc",)
+        get, put = outcomes
+        assert put.executed_at == result.records[1].result.completion_time
+        assert get.executed_at < put.executed_at
 
 
 class TestCoordinatedWrites:
@@ -218,6 +244,29 @@ class TestMetrics:
         assert metrics.counter("store.ops_put").value == 1
         assert metrics.counter("store.sessions").value == 1
         assert metrics.histogram("store.queue_wait_seconds").count == 1
+
+
+class TestTrace:
+    def test_keyless_sync_still_starts_and_ends_in_the_trace(self):
+        # The analyzer pairs each session_start with the oldest open
+        # session_request of its pair, so a sync that finds no keys must
+        # close its own request, or the next session inherits its wait.
+        tracer = Tracer()
+        c = StoreCluster(["A", "B"], StoreConfig(channel=CHANNEL),
+                         tracer=tracer)
+        c.sim.call_at(0.0, lambda: c.request_sync("A", "B"))
+        c.sim.call_at(1.0, lambda: c.submit(
+            ClientOp(kind="put", site="A", key="k", value="v")))
+        c.sim.call_at(2.0, lambda: c.request_sync("A", "B"))
+        result = c.run()
+        assert result.sessions == 2
+        assert result.records[0].keys == () and result.records[1].keys
+        kinds = [event.kind for event in tracer.events]
+        for kind in ("session_request", "session_start", "session_end"):
+            assert kinds.count(kind) == 2, kind
+        waits = {summary["session"]: summary["queue_wait"]
+                 for summary in analyze_tracer(tracer).sessions}
+        assert waits == {0: 0.0, 1: 0.0}
 
 
 class TestGossipPeers:
