@@ -14,9 +14,13 @@ convergence argument at a scale the unit suite never exercises.
 Unlike the bench grid's always-paired cells, this run skips the
 sequential replay (it would double an already fleet-sized run for an
 invariant the grid checks on every commit at n=48) — the assertions
-here are convergence, shard scoping, and the wall budget.
+here are convergence, shard scoping, the wall budget, and that the
+run leaves the cycle collector nothing to free: every finished session
+must be freed by refcount (DESIGN.md §5, "Session lifecycle").  Unlike
+the wall budget, that gate does not depend on the host.
 """
 
+import gc
 import time
 
 from repro.analysis.report import format_table
@@ -31,10 +35,29 @@ SITES_PER_REGION = 334
 N_OBJECTS = 10_000
 N_UPDATES = 2_000
 
-#: CI-smoke wall budget, with generous headroom over the ~15 s typical
-#: run so loaded runners never flake; the point is catching the order-
-#: of-magnitude collapse losing a fast path causes, not small drift.
+#: CI-smoke wall budget, with generous headroom over the ~9 s typical
+#: run (2-vCPU Xeon, CPython 3.11) so loaded runners never flake; the
+#: point is catching the order-of-magnitude collapse losing a fast path
+#: causes, not small drift.
 WALL_BUDGET_SECONDS = 120.0
+
+class GcLog:
+    """A ``gc.callbacks`` hook: pause time, gen-2 passes, objects freed."""
+
+    def __init__(self) -> None:
+        self.pause_s = 0.0
+        self.gen2 = 0
+        self.collected = 0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        self.pause_s += time.perf_counter() - self._started
+        self.gen2 += info["generation"] == 2
+        self.collected += info["collected"]
+
 
 SPEC = TopologySpec.grid(
     N_REGIONS, SITES_PER_REGION,
@@ -54,9 +77,15 @@ def test_multiregion_fleet_converges_under_loss(report_writer):
     last = max([r.at for r in sessions] + [u.at for u in updates])
     sessions = sessions + closing_sweep(shards, start=last + 500.0)
 
+    gc_log = GcLog()
+    gc.collect()
+    gc.callbacks.append(gc_log)
     start = time.perf_counter()
-    result = runner.run(sessions, updates)
-    wall = time.perf_counter() - start
+    try:
+        result = runner.run(sessions, updates)
+    finally:
+        wall = time.perf_counter() - start
+        gc.callbacks.remove(gc_log)
 
     # The headline claim: every replica group agrees on every object.
     assert result.consistent()
@@ -68,22 +97,28 @@ def test_multiregion_fleet_converges_under_loss(report_writer):
     assert load["max"] < N_OBJECTS / 10
     # The lossy interconnects really engaged the transport.
     assert result.totals.total_retransmitted_bits > 0
+    # Sessions are acyclic: whatever collections the run's allocations
+    # trigger, none of them finds garbage to free.
+    assert gc_log.collected == 0, (
+        f"the cycle collector freed {gc_log.collected} objects during "
+        f"the run: some session state forms a reference cycle")
     assert wall < WALL_BUDGET_SECONDS
 
     body = format_table(
         ["sites", "objects", "repl", "sessions", "total bits",
-         "retransmitted", "wall", "converged"],
+         "retransmitted", "wall", "gc pause", "gen-2 gcs", "converged"],
         [[str(SPEC.n_sites), str(N_OBJECTS), "3", str(result.sessions),
           str(result.total_bits),
           str(result.totals.total_retransmitted_bits), f"{wall:.1f} s",
-          "yes"]])
+          f"{gc_log.pause_s:.1f} s", str(gc_log.gen2), "yes"]])
     body += (f"\n\nPer-site hosted objects: min {load['min']:.0f} / "
              f"mean {load['mean']:.1f} / max {load['max']:.0f} — the "
              "consistent-hash ring keeps 30k\nreplica slots spread over "
              "1002 sites.  Convergence is closed by the two-phase\n"
              "leader sweep, so it is structural, not a gossip "
              f"coin-flip.  Wall budget {WALL_BUDGET_SECONDS:.0f} s\n"
-             "(typical ~15 s on the array backend).")
+             "(typical ~9 s on the array backend); the cycle collector "
+             "must free nothing.")
     report_writer(
         "multiregion_fleet",
         f"multi-region fleet — {N_REGIONS}×{SITES_PER_REGION} sites, "

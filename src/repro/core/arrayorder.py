@@ -147,6 +147,16 @@ class ArrayElementOrder:
             view = self._views[index] = ArrayElement(self, index)
         return view
 
+    def forget_views(self) -> None:
+        """Drop the cached element views.
+
+        Every cached view refers back to this order, so the cache is a
+        reference cycle: a vector that replaces this order calls this
+        first, so the order is freed by refcount, not by the cycle
+        collector.  Views already handed out keep working.
+        """
+        self._views = [None] * len(self._views)
+
     # -- lookups -------------------------------------------------------------
 
     def __len__(self) -> int:

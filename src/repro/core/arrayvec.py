@@ -54,6 +54,17 @@ class ArrayBasicRotatingVector(BasicRotatingVector):
         """Local update via the order's single-pass fast path."""
         return self.order.record_update(site)
 
+    def restore(self, snapshot: BasicRotatingVector) -> None:
+        """In-place rollback that also frees the replaced order at once.
+
+        A session resume or abandon restores its receiver; without
+        dropping the old order's view cache, every rollback would leave
+        a cycle for the collector.
+        """
+        replaced = self.order
+        super().restore(snapshot)
+        replaced.forget_views()
+
     def rotate_many(self, sites: List[str]) -> None:
         """Batch ROTATE: the last site ends up at the front (``⌊v⌋``)."""
         self.order.rotate_many(sites)

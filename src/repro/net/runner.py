@@ -82,7 +82,7 @@ from repro.net.stats import DirectionStats, TransferStats
 from repro.net.wire import DEFAULT_ENCODING, Encoding
 from repro.obs import trace as obs
 from repro.obs.trace import Tracer
-from repro.protocols.batch import BatchFrame, batch_party
+from repro.protocols.batch import batch_party
 from repro.protocols.effects import Drain, Poll, Recv, Send
 from repro.protocols.messages import Message
 from repro.protocols.session import ProtocolCoroutine
@@ -253,6 +253,8 @@ class SessionHandle:
 class _Mailbox:
     """FIFO of delivered messages with a wakeup signal."""
 
+    __slots__ = ("_messages", "arrival", "_name", "_tracer", "_session_id")
+
     def __init__(self, sim: Simulator, name: str,
                  tracer: Optional[Tracer] = None,
                  session_id: Optional[int] = None) -> None:
@@ -285,119 +287,170 @@ class _Mailbox:
         return bool(self._messages)
 
 
+class _WireAttempt:
+    """State shared by both parties of one wire-session attempt.
+
+    Each party runs as a generator method of this object, spawned on the
+    simulator; the generator returns its party name, and the bound
+    :meth:`_on_exit` records the finish.  The attempt refers to its
+    session only through the ``on_complete`` callback it was handed, and
+    no callback it schedules is stored on it, so a finished attempt is
+    freed by refcount.
+    """
+
+    __slots__ = ("sim", "stats", "channel", "encoding", "proc_time",
+                 "max_steps", "tracer", "party_names", "session_fields",
+                 "mailboxes", "on_complete", "start_time", "finish_times",
+                 "results", "steps")
+
+    def __init__(self, sim: Simulator, options: SessionOptions,
+                 stats: TransferStats,
+                 on_complete: Callable[[TimedSessionResult], None]) -> None:
+        self.sim = sim
+        self.stats = stats
+        self.channel = options.channel
+        self.encoding = options.encoding
+        self.proc_time = options.proc_time
+        self.max_steps = options.max_steps
+        self.tracer = tracer = options.tracer
+        self.party_names = options.party_names
+        session_id = options.session_id
+        self.session_fields = ({} if session_id is None
+                               else {"session": session_id})
+        sender_name, receiver_name = self.party_names
+        self.mailboxes = {
+            sender_name: _Mailbox(sim, sender_name, tracer, session_id),
+            receiver_name: _Mailbox(sim, receiver_name, tracer, session_id)}
+        self.on_complete = on_complete
+        self.start_time = sim.now
+        self.finish_times: Dict[str, float] = {}
+        self.results: Dict[str, Any] = {}
+        self.steps = 0
+
+    def start(self, sender: ProtocolCoroutine,
+              receiver: ProtocolCoroutine) -> None:
+        """Spawn the attempt's two processes."""
+        if self.encoding.session_header_bits:
+            # Every attempt is a fresh handshake and pays the session
+            # header: priced, not timed (it models connection state,
+            # not a serialized message — see wire.py).
+            self.stats.forward.record("SessionHeader",
+                                      self.encoding.session_header_bits)
+        sender_name, receiver_name = self.party_names
+        self.sim.spawn(self._process(sender_name, receiver_name, sender),
+                       on_exit=self._on_exit)
+        self.sim.spawn(self._process(receiver_name, sender_name, receiver),
+                       on_exit=self._on_exit)
+
+    def _process(self, name: str, peer: str, gen: ProtocolCoroutine):
+        """One party's process; returns ``name`` when it exits."""
+        raise NotImplementedError
+
+    def _count_step(self) -> None:
+        self.steps += 1
+        if self.steps > self.max_steps:
+            raise SessionError(
+                f"timed session exceeded {self.max_steps} steps")
+
+    def _on_exit(self, name: str) -> None:
+        self.finish_times[name] = self.sim.now
+        if len(self.finish_times) == 2:
+            self._finished()
+
+    def _finished(self) -> None:
+        """Both parties are done: report the attempt's result."""
+        sender_name, receiver_name = self.party_names
+        finish_times = self.finish_times
+        self.on_complete(TimedSessionResult(
+            stats=self.stats,
+            sender_result=self.results[sender_name],
+            receiver_result=self.results[receiver_name],
+            completion_time=max(finish_times.values()),
+            sender_finish=finish_times[sender_name],
+            receiver_finish=finish_times[receiver_name],
+            start_time=self.start_time,
+        ))
+
+
 # ---------------------------------------------------------------------------
 # The historical (fault-free) wire session, byte-for-byte.
 # ---------------------------------------------------------------------------
 
 
-def _launch_wire(sim: Simulator, sender: ProtocolCoroutine,
-                 receiver: ProtocolCoroutine, *, stats: TransferStats,
-                 channel: ChannelSpec, encoding: Encoding,
-                 stop_and_wait: bool, proc_time: float, max_steps: int,
-                 tracer: Optional[Tracer],
-                 party_names: Tuple[str, str],
-                 on_complete: Callable[[TimedSessionResult], None],
-                 session_id: Optional[int] = None) -> None:
-    """Spawn one wire session's two processes on the perfect-link path."""
-    if encoding.session_header_bits:
-        # Per-session fixed overhead: priced, not timed (it models
-        # connection state, not a serialized message — see wire.py).
-        stats.forward.record("SessionHeader", encoding.session_header_bits)
-    sender_name, receiver_name = party_names
-    session_fields = {} if session_id is None else {"session": session_id}
-    mailboxes = {sender_name: _Mailbox(sim, sender_name, tracer, session_id),
-                 receiver_name: _Mailbox(sim, receiver_name, tracer,
-                                         session_id)}
-    start_time = sim.now
-    finish_times: Dict[str, float] = {}
-    results: Dict[str, Any] = {}
-    steps = 0
+class _Wire(_WireAttempt):
+    """One wire-session attempt on the perfect-link path."""
 
-    def make_process(name: str, peer: str, gen: ProtocolCoroutine,
-                     forward: bool, out_stats: DirectionStats,
-                     ack_stats: DirectionStats):
-        def process():
-            nonlocal steps
-            mailbox = mailboxes[name]
-            try:
-                pending = next(gen)
-            except StopIteration as stop:
-                results[name] = stop.value
-                return
-            while True:
-                steps += 1
-                if steps > max_steps:
-                    raise SessionError(
-                        f"timed session exceeded {max_steps} steps")
-                if isinstance(pending, Send):
-                    message = pending.message
-                    bits = message.bits(encoding)
-                    out_stats.record(message.type_name, bits)
-                    sent_seq: Optional[int] = None
+    __slots__ = ("stop_and_wait",)
+
+    def __init__(self, sim: Simulator, options: SessionOptions,
+                 stats: TransferStats,
+                 on_complete: Callable[[TimedSessionResult], None]) -> None:
+        super().__init__(sim, options, stats, on_complete)
+        self.stop_and_wait = options.stop_and_wait
+
+    def _process(self, name: str, peer: str, gen: ProtocolCoroutine):
+        forward = name == self.party_names[0]
+        stats = self.stats
+        out_stats, ack_stats = ((stats.forward, stats.backward) if forward
+                                else (stats.backward, stats.forward))
+        sim, channel, encoding = self.sim, self.channel, self.encoding
+        tracer, session_fields = self.tracer, self.session_fields
+        mailbox, peer_mailbox = self.mailboxes[name], self.mailboxes[peer]
+        try:
+            pending = next(gen)
+        except StopIteration as stop:
+            self.results[name] = stop.value
+            return name
+        while True:
+            self._count_step()
+            if isinstance(pending, Send):
+                message = pending.message
+                bits = message.bits(encoding)
+                out_stats.record(message.type_name, bits)
+                sent_seq: Optional[int] = None
+                if tracer is not None:
+                    sent_seq = tracer.event(
+                        obs.MESSAGE, party=name,
+                        message=message.type_name, bits=bits,
+                        direction="forward" if forward else "backward",
+                        **session_fields).seq
+                yield channel.serialization_delay(bits)
+                # Delivery fires one propagation latency later; the
+                # message is captured now but pushed at arrival time.
+                sim.call_after(
+                    channel.latency,
+                    lambda box=peer_mailbox, m=message, s=sent_seq:
+                        box.push(m, sent_seq=s))
+                if self.stop_and_wait:
+                    # The implicit ack crosses back only after the data
+                    # message lands; record it when it *arrives* here
+                    # (now + rtt + ack serialization), not when the
+                    # data finished serializing — otherwise traces show
+                    # the Ack before the deliver it acknowledges.
+                    yield channel.stop_and_wait_overhead()
+                    ack_stats.record("Ack", channel.ack_bits)
                     if tracer is not None:
-                        sent_seq = tracer.event(
-                            obs.MESSAGE, party=name,
-                            message=message.type_name, bits=bits,
-                            direction=("forward" if forward
-                                       else "backward"),
-                            **session_fields).seq
-                    yield channel.serialization_delay(bits)
-                    # Delivery fires one propagation latency later; note the
-                    # mailbox is captured now but pushed at arrival time.
-                    sim.call_after(
-                        channel.latency,
-                        lambda m=message, s=sent_seq:
-                            mailboxes[peer].push(m, sent_seq=s))
-                    if stop_and_wait:
-                        # The implicit ack crosses back only after the data
-                        # message lands; record it when it *arrives* here
-                        # (now + rtt + ack serialization), not when the
-                        # data finished serializing — otherwise traces show
-                        # the Ack before the deliver it acknowledges.
-                        yield channel.stop_and_wait_overhead()
-                        ack_stats.record("Ack", channel.ack_bits)
-                        if tracer is not None:
-                            tracer.event(obs.MESSAGE, party=peer,
-                                         message="Ack", bits=channel.ack_bits,
-                                         direction=("backward" if forward
-                                                    else "forward"),
-                                         **session_fields)
-                    value: Any = None
-                elif isinstance(pending, (Poll, Drain)):
-                    value = mailbox.pop_now()
-                elif isinstance(pending, Recv):
-                    while not mailbox:
-                        yield mailbox.arrival
-                    if proc_time > 0:
-                        yield proc_time
-                    value = mailbox.pop_now()
-                else:  # pragma: no cover - defensive
-                    raise SessionError(f"unknown effect {pending!r} in {name}")
-                try:
-                    pending = gen.send(value)
-                except StopIteration as stop:
-                    results[name] = stop.value
-                    return
-
-        def on_exit(_value: Any) -> None:
-            finish_times[name] = sim.now
-            if len(finish_times) == 2:
-                on_complete(TimedSessionResult(
-                    stats=stats,
-                    sender_result=results[sender_name],
-                    receiver_result=results[receiver_name],
-                    completion_time=max(finish_times.values()),
-                    sender_finish=finish_times[sender_name],
-                    receiver_finish=finish_times[receiver_name],
-                    start_time=start_time,
-                ))
-
-        sim.spawn(process(), on_exit=on_exit)
-
-    make_process(sender_name, receiver_name, sender, True,
-                 stats.forward, stats.backward)
-    make_process(receiver_name, sender_name, receiver, False,
-                 stats.backward, stats.forward)
+                        tracer.event(obs.MESSAGE, party=peer,
+                                     message="Ack", bits=channel.ack_bits,
+                                     direction=("backward" if forward
+                                                else "forward"),
+                                     **session_fields)
+                value: Any = None
+            elif isinstance(pending, (Poll, Drain)):
+                value = mailbox.pop_now()
+            elif isinstance(pending, Recv):
+                while not mailbox:
+                    yield mailbox.arrival
+                if self.proc_time > 0:
+                    yield self.proc_time
+                value = mailbox.pop_now()
+            else:  # pragma: no cover - defensive
+                raise SessionError(f"unknown effect {pending!r} in {name}")
+            try:
+                pending = gen.send(value)
+            except StopIteration as stop:
+                self.results[name] = stop.value
+                return name
 
 
 # ---------------------------------------------------------------------------
@@ -417,50 +470,90 @@ class _AckWait:
         self.timer = None
 
 
-class _ReliableWire:
-    """Transport state of one wire-session attempt over a faulty link.
+class _ReliableWire(_WireAttempt):
+    """One wire-session attempt over a faulty link.
 
     Stop-and-wait ARQ per direction: outgoing messages carry a sequence
     number, the receiving transport delivers in-order exactly once and
     acknowledges every arriving copy, and the sender retransmits on
     timeout.  All transmissions — data and acks — pass through the
-    session's seeded :class:`~repro.net.faults.FaultInjector`.
+    session's seeded :class:`~repro.net.faults.FaultInjector`.  An
+    attempt whose parties both exit after an abort reports through
+    ``on_abort`` instead of ``on_complete``.
     """
 
-    def __init__(self, sim: Simulator, stats: TransferStats,
-                 channel: ChannelSpec, encoding: Encoding,
-                 retry: RetryPolicy, injector: FaultInjector,
-                 jitter_rng: random.Random, tracer: Optional[Tracer],
-                 party_names: Tuple[str, str],
-                 proc_time: float, max_steps: int,
-                 session_id: Optional[int] = None) -> None:
-        self.sim = sim
-        self.stats = stats
-        self.channel = channel
-        self.encoding = encoding
-        self.retry = retry
+    __slots__ = ("retry", "injector", "jitter_rng", "on_abort", "aborted",
+                 "out_stats", "next_seq", "expected", "acked_once", "waits")
+
+    def __init__(self, sim: Simulator, options: SessionOptions,
+                 stats: TransferStats,
+                 on_complete: Callable[[TimedSessionResult], None], *,
+                 injector: FaultInjector, jitter_rng: random.Random,
+                 on_abort: Callable[[], None]) -> None:
+        super().__init__(sim, options, stats, on_complete)
+        self.retry = options.retry
         self.injector = injector
         self.jitter_rng = jitter_rng
-        self.tracer = tracer
-        self.proc_time = proc_time
-        self.max_steps = max_steps
+        self.on_abort = on_abort
         self.aborted = False
-        self.session_fields = ({} if session_id is None
-                               else {"session": session_id})
-        sender_name, receiver_name = party_names
-        self.party_names = party_names
-        self.mailboxes = {
-            sender_name: _Mailbox(sim, sender_name, tracer, session_id),
-            receiver_name: _Mailbox(sim, receiver_name, tracer, session_id)}
+        sender_name, receiver_name = self.party_names
         #: Each party's outgoing direction counters (data it serializes).
         self.out_stats: Dict[str, DirectionStats] = {
-            sender_name: stats.forward, receiver_name: stats.backward}
+            sender_name: self.stats.forward,
+            receiver_name: self.stats.backward}
         self.next_seq: Dict[str, int] = {sender_name: 0, receiver_name: 0}
         self.expected: Dict[str, int] = {sender_name: 0, receiver_name: 0}
         self.acked_once: Dict[str, set] = {sender_name: set(),
                                            receiver_name: set()}
         self.waits: Dict[str, Optional[_AckWait]] = {sender_name: None,
                                                      receiver_name: None}
+
+    def _finished(self) -> None:
+        if self.aborted:
+            self.on_abort()
+        else:
+            super()._finished()
+
+    def _process(self, name: str, peer: str, gen: ProtocolCoroutine):
+        mailbox = self.mailboxes[name]
+        try:
+            pending = next(gen)
+        except StopIteration as stop:
+            self.results[name] = stop.value
+            return name
+        while True:
+            self._count_step()
+            if self.aborted:
+                gen.close()
+                return name
+            if isinstance(pending, Send):
+                delivered = yield from self.send_reliably(
+                    name, peer, pending.message)
+                if not delivered:
+                    gen.close()
+                    return name
+                value: Any = None
+            elif isinstance(pending, (Poll, Drain)):
+                value = mailbox.pop_now()
+            elif isinstance(pending, Recv):
+                while not mailbox:
+                    yield mailbox.arrival
+                    if self.aborted:
+                        gen.close()
+                        return name
+                if self.proc_time > 0:
+                    yield self.proc_time
+                    if self.aborted:
+                        gen.close()
+                        return name
+                value = mailbox.pop_now()
+            else:  # pragma: no cover - defensive
+                raise SessionError(f"unknown effect {pending!r} in {name}")
+            try:
+                pending = gen.send(value)
+            except StopIteration as stop:
+                self.results[name] = stop.value
+                return name
 
     # -- fault plumbing -----------------------------------------------------
 
@@ -587,14 +680,17 @@ class _ReliableWire:
             return
         # Acknowledge every arriving copy — the transport cannot know
         # whether earlier acks survived.  Only the first ack per sequence
-        # number is goodput.
-        acked = self.acked_once[receiver]
-        ack_stats = self.out_stats[receiver]
-        if seq not in acked:
-            acked.add(seq)
-            ack_stats.record("Ack", self.channel.ack_bits)
-        else:
-            ack_stats.record_retransmit("Ack", self.channel.ack_bits)
+        # number is goodput.  A copy that lands after both parties have
+        # exited is acked for no running attempt: traced, not counted, so
+        # a completed session's stats never move.
+        if len(self.finish_times) < 2:
+            acked = self.acked_once[receiver]
+            ack_stats = self.out_stats[receiver]
+            if seq not in acked:
+                acked.add(seq)
+                ack_stats.record("Ack", self.channel.ack_bits)
+            else:
+                ack_stats.record_retransmit("Ack", self.channel.ack_bits)
         if self.tracer is not None:
             self.tracer.event(obs.MESSAGE, party=receiver, message="Ack",
                               bits=self.channel.ack_bits, seq=seq,
@@ -626,102 +722,153 @@ class _ReliableWire:
                 wait.signal.fire()
 
 
-def _launch_wire_reliable(sim: Simulator, sender: ProtocolCoroutine,
-                          receiver: ProtocolCoroutine, *,
-                          stats: TransferStats, channel: ChannelSpec,
-                          encoding: Encoding, retry: RetryPolicy,
-                          injector: FaultInjector,
-                          jitter_rng: random.Random, proc_time: float,
-                          max_steps: int, tracer: Optional[Tracer],
-                          party_names: Tuple[str, str],
-                          on_complete: Callable[[TimedSessionResult], None],
-                          on_abort: Callable[[], None],
-                          session_id: Optional[int] = None) -> None:
-    """Spawn one wire-session attempt on the ARQ transport."""
-    if encoding.session_header_bits:
-        # Every attempt is a fresh handshake; it re-pays the header.
-        stats.forward.record("SessionHeader", encoding.session_header_bits)
-    wire = _ReliableWire(sim, stats, channel, encoding, retry, injector,
-                         jitter_rng, tracer, party_names, proc_time,
-                         max_steps, session_id)
-    sender_name, receiver_name = party_names
-    start_time = sim.now
-    finish_times: Dict[str, float] = {}
-    results: Dict[str, Any] = {}
-    steps = 0
-
-    def make_process(name: str, peer: str, gen: ProtocolCoroutine):
-        def process():
-            nonlocal steps
-            mailbox = wire.mailboxes[name]
-            try:
-                pending = next(gen)
-            except StopIteration as stop:
-                results[name] = stop.value
-                return
-            while True:
-                steps += 1
-                if steps > max_steps:
-                    raise SessionError(
-                        f"timed session exceeded {max_steps} steps")
-                if wire.aborted:
-                    gen.close()
-                    return
-                if isinstance(pending, Send):
-                    delivered = yield from wire.send_reliably(
-                        name, peer, pending.message)
-                    if not delivered:
-                        gen.close()
-                        return
-                    value: Any = None
-                elif isinstance(pending, (Poll, Drain)):
-                    value = mailbox.pop_now()
-                elif isinstance(pending, Recv):
-                    while not mailbox:
-                        yield mailbox.arrival
-                        if wire.aborted:
-                            gen.close()
-                            return
-                    if proc_time > 0:
-                        yield proc_time
-                        if wire.aborted:
-                            gen.close()
-                            return
-                    value = mailbox.pop_now()
-                else:  # pragma: no cover - defensive
-                    raise SessionError(f"unknown effect {pending!r} in {name}")
-                try:
-                    pending = gen.send(value)
-                except StopIteration as stop:
-                    results[name] = stop.value
-                    return
-
-        def on_exit(_value: Any) -> None:
-            finish_times[name] = sim.now
-            if len(finish_times) < 2:
-                return
-            if wire.aborted:
-                on_abort()
-                return
-            on_complete(TimedSessionResult(
-                stats=stats,
-                sender_result=results[sender_name],
-                receiver_result=results[receiver_name],
-                completion_time=max(finish_times.values()),
-                sender_finish=finish_times[sender_name],
-                receiver_finish=finish_times[receiver_name],
-                start_time=start_time,
-            ))
-
-        sim.spawn(process(), on_exit=on_exit)
-
-    make_process(sender_name, receiver_name, sender)
-    make_process(receiver_name, sender_name, receiver)
-
-
 # ---------------------------------------------------------------------------
 # The unified launcher.
 # ---------------------------------------------------------------------------
+
+
+class _Session:
+    """The driver of one launched session: its attempts and their chunks.
+
+    Its bound methods are the callbacks each wire attempt fires — the
+    chunk finish and the attempt abort — and nothing it holds refers back
+    to it: each attempt is freed once its last queued event has run, and
+    the session once it completes or is abandoned, all by refcount.
+    Every attempt records straight into ``handle.stats``; aborted
+    attempts' wire bits were spent, so the accounting is additive.
+    """
+
+    __slots__ = ("sim", "options", "handle", "reliable", "injector",
+                 "jitter_rng", "start_time", "single", "chunks",
+                 "chunk_index", "frames", "sender_results",
+                 "receiver_results")
+
+    def __init__(self, sim: Simulator, options: SessionOptions,
+                 handle: SessionHandle) -> None:
+        self.sim = sim
+        self.options = options
+        self.handle = handle
+        self.reliable = options.use_reliable
+        self.injector: Optional[FaultInjector] = None
+        self.jitter_rng: Optional[random.Random] = None
+        if self.reliable:
+            base_seed = (options.channel.faults.seed
+                         if options.fault_seed is None
+                         else options.fault_seed)
+            self.injector = FaultInjector(options.channel.faults,
+                                          seed=base_seed)
+            self.jitter_rng = random.Random(base_seed * 1_000_003
+                                            + options.retry.seed)
+        self.start_time = sim.now
+
+    def start_attempt(self) -> None:
+        """Build fresh pairs and launch the attempt's first chunk."""
+        options = self.options
+        self.handle.attempts += 1
+        pairs = list(options.rebuild()) if options.rebuild is not None \
+            else list(options.pairs)
+        if not pairs:
+            raise SessionError("a session needs at least one coroutine pair")
+        size = options.batch_size
+        self.single = len(pairs) == 1 and size == 1
+        self.chunks = [pairs[i:i + size] for i in range(0, len(pairs), size)]
+        self.chunk_index = 0
+        self.sender_results: List[Any] = []
+        self.receiver_results: List[Any] = []
+        self.launch_chunk()
+
+    def launch_chunk(self) -> None:
+        options = self.options
+        chunk = self.chunks[self.chunk_index]
+        if options.batch_size == 1:
+            wire_sender, wire_receiver = chunk[0]
+        else:
+            # The chunk's batch frames, noted once it completes.
+            self.frames = frames = []
+            wire_sender = batch_party(
+                [s for s, _ in chunk], initiator=True,
+                max_steps=options.max_steps, on_frame=frames.append)
+            wire_receiver = batch_party(
+                [r for _, r in chunk], initiator=False,
+                max_steps=options.max_steps, on_frame=frames.append)
+        if self.reliable:
+            wire: _WireAttempt = _ReliableWire(
+                self.sim, options, self.handle.stats, self.finish_chunk,
+                injector=self.injector, jitter_rng=self.jitter_rng,
+                on_abort=self.on_attempt_abort)
+        else:
+            wire = _Wire(self.sim, options, self.handle.stats,
+                         self.finish_chunk)
+        wire.start(wire_sender, wire_receiver)
+
+    def finish_chunk(self, result: TimedSessionResult) -> None:
+        if self.options.batch_size > 1:
+            note_frame = self.handle.stats.note_frame
+            for frame in self.frames:
+                note_frame(frame.object_count)
+            self.sender_results.extend(result.sender_result)
+            self.receiver_results.extend(result.receiver_result)
+        else:
+            self.sender_results.append(result.sender_result)
+            self.receiver_results.append(result.receiver_result)
+        self.chunk_index += 1
+        if self.chunk_index < len(self.chunks):
+            self.launch_chunk()
+        else:
+            self.finish_session(result)
+
+    def finish_session(self, result: TimedSessionResult) -> None:
+        options, handle = self.options, self.handle
+        final = TimedSessionResult(
+            stats=handle.stats,
+            sender_result=(self.sender_results[0] if self.single
+                           else self.sender_results),
+            receiver_result=(self.receiver_results[0] if self.single
+                             else self.receiver_results),
+            completion_time=result.completion_time,
+            sender_finish=result.sender_finish,
+            receiver_finish=result.receiver_finish,
+            start_time=self.start_time,
+        )
+        handle.result = final
+        if options.on_complete is not None:
+            options.on_complete(final)
+
+    def on_attempt_abort(self) -> None:
+        """The attempt aborted: resume it, abandon the session, or raise."""
+        options, handle = self.options, self.handle
+        tracer = options.tracer
+        session_fields = ({} if options.session_id is None
+                          else {"session": options.session_id})
+        can_resume = (options.rebuild is not None
+                      and handle.attempts
+                      < options.retry.max_session_attempts)
+        if not can_resume:
+            error = SessionError(
+                f"session {options.party_names[0]}->"
+                f"{options.party_names[1]} aborted permanently after "
+                f"{handle.attempts} attempt(s): a message exhausted its "
+                f"retry budget ({options.retry.max_retries} retries) "
+                + ("and no rebuild factory was provided to resume from"
+                   if options.rebuild is None else
+                   "and the resume budget "
+                   f"({options.retry.max_session_attempts} attempts) "
+                   f"is spent"))
+            if options.on_abandon is not None:
+                if tracer is not None:
+                    tracer.event(
+                        obs.CONTROL, party=options.party_names[1],
+                        signal="session_abandon",
+                        attempts=handle.attempts, **session_fields)
+                options.on_abandon(error)
+                return
+            raise error
+        handle.stats.resumes += 1
+        if tracer is not None:
+            tracer.event(obs.CONTROL, party=options.party_names[1],
+                         signal="session_resume",
+                         attempt=handle.attempts + 1, **session_fields)
+        self.start_attempt()
 
 
 def launch(sim: Simulator, options: SessionOptions) -> SessionHandle:
@@ -743,150 +890,15 @@ def launch(sim: Simulator, options: SessionOptions) -> SessionHandle:
     ``options.on_abandon`` is set, in which case the callback is invoked
     with that error and the simulation continues (the handle stays
     incomplete).
+
+    The session is driven by a slotted per-session object whose bound
+    methods are the wire callbacks, over slotted per-attempt objects
+    whose generator methods are the party processes; no closure captures
+    itself, so a session that completes or is abandoned is freed by
+    refcount rather than left for the cycle collector.
     """
     handle = SessionHandle(options=options)
-    reliable = options.use_reliable
-    injector: Optional[FaultInjector] = None
-    jitter_rng: Optional[random.Random] = None
-    if reliable:
-        base_seed = (options.channel.faults.seed
-                     if options.fault_seed is None else options.fault_seed)
-        injector = FaultInjector(options.channel.faults, seed=base_seed)
-        jitter_rng = random.Random(base_seed * 1_000_003 + options.retry.seed)
-    start_time = sim.now
-    tracer = options.tracer
-
-    def build_pairs() -> List[SessionPair]:
-        pairs = list(options.rebuild()) if options.rebuild is not None \
-            else list(options.pairs)
-        if not pairs:
-            raise SessionError("a session needs at least one coroutine pair")
-        return pairs
-
-    def start_attempt() -> None:
-        handle.attempts += 1
-        pairs = build_pairs()
-        single = len(pairs) == 1 and options.batch_size == 1
-        chunks = [pairs[i:i + options.batch_size]
-                  for i in range(0, len(pairs), options.batch_size)]
-        sender_results: List[Any] = []
-        receiver_results: List[Any] = []
-
-        def on_attempt_abort() -> None:
-            can_resume = (options.rebuild is not None
-                          and handle.attempts
-                          < options.retry.max_session_attempts)
-            if not can_resume:
-                error = SessionError(
-                    f"session {options.party_names[0]}->"
-                    f"{options.party_names[1]} aborted permanently after "
-                    f"{handle.attempts} attempt(s): a message exhausted its "
-                    f"retry budget ({options.retry.max_retries} retries) "
-                    + ("and no rebuild factory was provided to resume from"
-                       if options.rebuild is None else
-                       "and the resume budget "
-                       f"({options.retry.max_session_attempts} attempts) "
-                       f"is spent"))
-                if options.on_abandon is not None:
-                    if tracer is not None:
-                        tracer.event(
-                            obs.CONTROL, party=options.party_names[1],
-                            signal="session_abandon",
-                            attempts=handle.attempts,
-                            **({} if options.session_id is None
-                               else {"session": options.session_id}))
-                    options.on_abandon(error)
-                    return
-                raise error
-            handle.stats.resumes += 1
-            if tracer is not None:
-                tracer.event(obs.CONTROL, party=options.party_names[1],
-                             signal="session_resume",
-                             attempt=handle.attempts + 1,
-                             **({} if options.session_id is None
-                                else {"session": options.session_id}))
-            start_attempt()
-
-        def finish_session(result: TimedSessionResult) -> None:
-            final = TimedSessionResult(
-                stats=handle.stats,
-                sender_result=(sender_results[0] if single
-                               else sender_results),
-                receiver_result=(receiver_results[0] if single
-                                 else receiver_results),
-                completion_time=result.completion_time,
-                sender_finish=result.sender_finish,
-                receiver_finish=result.receiver_finish,
-                start_time=start_time,
-            )
-            handle.result = final
-            if options.on_complete is not None:
-                options.on_complete(final)
-
-        def launch_chunk(chunk_index: int) -> None:
-            chunk = chunks[chunk_index]
-            framed = options.batch_size > 1
-            chunk_stats = TransferStats()
-
-            def finish_chunk(result: TimedSessionResult) -> None:
-                handle.stats.merge(chunk_stats)
-                if framed:
-                    sender_results.extend(result.sender_result)
-                    receiver_results.extend(result.receiver_result)
-                else:
-                    sender_results.append(result.sender_result)
-                    receiver_results.append(result.receiver_result)
-                if chunk_index + 1 < len(chunks):
-                    launch_chunk(chunk_index + 1)
-                else:
-                    finish_session(result)
-
-            if not framed:
-                wire_sender, wire_receiver = chunk[0]
-            else:
-                frames: List[BatchFrame] = []
-                wire_sender = batch_party(
-                    [s for s, _ in chunk], initiator=True,
-                    max_steps=options.max_steps, on_frame=frames.append)
-                wire_receiver = batch_party(
-                    [r for _, r in chunk], initiator=False,
-                    max_steps=options.max_steps, on_frame=frames.append)
-
-                inner_finish = finish_chunk
-
-                def finish_chunk(result: TimedSessionResult) -> None:
-                    for frame in frames:
-                        chunk_stats.note_frame(frame.object_count)
-                    inner_finish(result)
-
-            if reliable:
-                def abort_chunk() -> None:
-                    # The aborted attempt's traffic was spent: fold it in
-                    # before the resume decision (which may raise).
-                    handle.stats.merge(chunk_stats)
-                    on_attempt_abort()
-
-                _launch_wire_reliable(
-                    sim, wire_sender, wire_receiver, stats=chunk_stats,
-                    channel=options.channel, encoding=options.encoding,
-                    retry=options.retry, injector=injector,
-                    jitter_rng=jitter_rng, proc_time=options.proc_time,
-                    max_steps=options.max_steps, tracer=tracer,
-                    party_names=options.party_names,
-                    on_complete=finish_chunk, on_abort=abort_chunk,
-                    session_id=options.session_id)
-                return
-            _launch_wire(
-                sim, wire_sender, wire_receiver, stats=chunk_stats,
-                channel=options.channel, encoding=options.encoding,
-                stop_and_wait=options.stop_and_wait,
-                proc_time=options.proc_time, max_steps=options.max_steps,
-                tracer=tracer, party_names=options.party_names,
-                on_complete=finish_chunk, session_id=options.session_id)
-
-        launch_chunk(0)
-
-    start_attempt()
+    _Session(sim, options, handle).start_attempt()
     return handle
 
 

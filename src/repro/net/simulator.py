@@ -17,6 +17,10 @@ in every cluster benchmark, so the implementation is tuned:
 * internal events that can never be cancelled (process wake-ups, signal
   resumes) share one immortal :class:`Timer` sentinel instead of
   allocating a handle per event;
+* each process is driven by a slotted :class:`_Process` whose bound
+  methods are its wake-up callbacks, so nothing in a process's lifecycle
+  refers back to it and a finished process is freed by refcount — the
+  cycle collector never has to find it;
 * :meth:`Simulator.run` dispatches in a tight loop that skips cancelled
   entries inline and only consults the tracer when one is attached —
   with tracing off the per-event cost is one heap pop and the callback;
@@ -191,42 +195,14 @@ class Simulator:
         The process yields a non-negative number to sleep that many
         simulated seconds, or a :class:`Signal` to park until it fires.
         ``on_exit`` receives the generator's return value.
+
+        The process is driven by a :class:`_Process` whose bound methods
+        are the scheduled callbacks; nothing it owns points back at it,
+        so a finished process is freed by refcount the moment its last
+        event dispatches, not by the cycle collector.
         """
         self._active_processes += 1
-        send = process.send
-
-        def step(send_value: Any = None) -> None:
-            try:
-                yielded = send(send_value)
-            except StopIteration as stop:
-                self._active_processes -= 1
-                if on_exit is not None:
-                    on_exit(stop.value)
-                return
-            # Sleeps vastly outnumber signal waits on the hot path.
-            if type(yielded) is float or type(yielded) is int:
-                if yielded < 0:
-                    raise SimulationError(f"process slept {yielded} < 0")
-                self._schedule(self.now + yielded, step)
-            elif isinstance(yielded, Signal):
-                self._blocked_processes += 1
-
-                def resume() -> None:
-                    self._blocked_processes -= 1
-                    step(None)
-
-                yielded._add_waiter(resume)
-            elif isinstance(yielded, (int, float)):
-                # Number subclasses (bool, numpy scalars) take the slow
-                # branch but keep the historical contract.
-                if yielded < 0:
-                    raise SimulationError(f"process slept {yielded} < 0")
-                self._schedule(self.now + float(yielded), step)
-            else:
-                raise SimulationError(
-                    f"process yielded unsupported value {yielded!r}")
-
-        self._schedule(self.now, step)
+        self._schedule(self.now, _Process(self, process, on_exit).step)
 
     # -- execution ---------------------------------------------------------------------
 
@@ -291,3 +267,51 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         return len(self._queue)
+
+
+class _Process:
+    """Drives one spawned generator; its bound methods are the callbacks.
+
+    Only the simulator's queue (a wake-up) or a :class:`Signal`'s waiter
+    list (a park) refers to a live process.
+    """
+
+    __slots__ = ("_sim", "_send", "_on_exit")
+
+    def __init__(self, sim: Simulator, process: ProcessGen,
+                 on_exit: Optional[Callable[[Any], None]]) -> None:
+        self._sim = sim
+        self._send = process.send
+        self._on_exit = on_exit
+
+    def step(self, send_value: Any = None) -> None:
+        sim = self._sim
+        try:
+            yielded = self._send(send_value)
+        except StopIteration as stop:
+            sim._active_processes -= 1
+            if self._on_exit is not None:
+                self._on_exit(stop.value)
+            return
+        # Sleeps vastly outnumber signal waits on the hot path.
+        if type(yielded) is float or type(yielded) is int:
+            if yielded < 0:
+                raise SimulationError(f"process slept {yielded} < 0")
+            sim._schedule(sim.now + yielded, self.step)
+        elif isinstance(yielded, Signal):
+            sim._blocked_processes += 1
+            yielded._add_waiter(self.resume)
+        elif isinstance(yielded, (int, float)):
+            # Number subclasses (bool, numpy scalars) take the slow
+            # branch but keep the historical contract.
+            if yielded < 0:
+                raise SimulationError(f"process slept {yielded} < 0")
+            sim._schedule(sim.now + float(yielded), self.step)
+        else:
+            raise SimulationError(
+                f"process yielded unsupported value {yielded!r}")
+
+    def resume(self) -> None:
+        """Wake-up after a :class:`Signal` this process parked on fired."""
+        self._sim._blocked_processes -= 1
+        self.step(None)

@@ -67,6 +67,21 @@ class TestChaosConvergence:
                 == stats.total_bits - stats.total_goodput_bits
 
 
+    @pytest.mark.parametrize("protocol", ["brv", "srv"])
+    def test_totals_are_the_sum_of_completed_sessions(self, protocol):
+        """Copies still in flight when a session completes may be acked
+        afterwards; that traffic must not leak into the session's
+        already-reported stats."""
+        config = chaos_config(protocol, 0.1, n_objects=32, batch_size=8)
+        _, result = run_cluster(config, n_sites=8, n_updates=16,
+                                single_writer=protocol == "brv")
+        stats = [record.result.stats for record in result.records]
+        assert result.totals.total_bits \
+            == sum(s.total_bits for s in stats)
+        assert result.totals.total_retransmitted_bits \
+            == sum(s.total_retransmitted_bits for s in stats)
+
+
 class TestChaosReplay:
     @pytest.mark.parametrize("loss", [0.05, 0.2])
     def test_replay_reproduces_bits_and_retries(self, loss):
