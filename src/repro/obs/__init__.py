@@ -16,6 +16,8 @@ per-session aggregates.  This package adds the per-event window:
   histograms with ``snapshot()``/``merge()`` for multi-run aggregation.
 * :mod:`repro.obs.export` — JSONL trace export and a human-readable
   timeline renderer (``python -m repro trace <demo>`` drives both).
+* :mod:`repro.obs.sampler` — the :class:`~repro.obs.sampler.GaugeSampler`
+  core (lazy cadence, ring series, violations) under both monitors.
 * :mod:`repro.obs.monitor` — a :class:`~repro.obs.monitor.ClusterMonitor`
   of live per-site health gauges (frontier distance, Δ backlog,
   conflict density, segments, pressure, convergence score) plus inline
@@ -45,7 +47,7 @@ from repro.obs.monitor import (ClusterMonitor, InvariantViolation,
 from repro.obs.exporters import to_otlp, to_prometheus
 from repro.obs.otlp_schema import OTLP_SCHEMA, validate_otlp
 from repro.obs.dashboard import (render_dashboard, render_html_report,
-                                 sparkline, write_html_report)
+                                 sparkline)
 
 __all__ = [
     "Analysis",
@@ -78,7 +80,6 @@ __all__ = [
     "trace_stats",
     "validate_analysis",
     "validate_otlp",
-    "write_html_report",
     "write_jsonl",
     "write_waterfall_html",
 ]

@@ -51,6 +51,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from collections import deque
 
 from repro.obs import trace as obs
+from repro.obs.otlp_schema import load_schema, validate
 
 SCHEMA_ID = "repro.obs.causal/1"
 
@@ -649,115 +650,11 @@ def analyze_tracer(tracer: Any) -> Analysis:
 # The JSON document contract.
 # ---------------------------------------------------------------------------
 
-_NODE_BRIEF_SCHEMA: Dict[str, Any] = {
-    "type": "object",
-    "required": ["seq", "kind", "time"],
-    "properties": {
-        "seq": {"type": "integer", "minimum": 0},
-        "kind": {"type": "string"},
-        "time": {"type": "number"},
-        "party": {"type": "string"},
-        "message": {"type": "string"},
-    },
-}
-
-_ATTRIBUTION_SCHEMA: Dict[str, Any] = {
-    "type": "object",
-    "required": list(CATEGORIES),
-    "properties": {category: {"type": "number"} for category in CATEGORIES},
-}
-
-#: Embedded source of truth for ``schemas/repro.obs.causal.schema.json``
-#: (a test pins the checked-in file to this dict).  Uses the same
-#: dependency-free subset :func:`repro.obs.otlp_schema.validate` checks.
-CAUSAL_SCHEMA: Dict[str, Any] = {
-    "$id": "repro.obs.causal.schema.json",
-    "title": "repro causal analysis document",
-    "type": "object",
-    "required": ["schema", "mode", "nodes", "edges", "dropped_links",
-                 "acyclic", "converged", "sessions", "sites", "protocols",
-                 "coverage"],
-    "properties": {
-        "schema": {"type": "string", "pattern": r"^repro\.obs\.causal/1$"},
-        "mode": {"type": "string", "enum": ["cluster", "wire"]},
-        "nodes": {"type": "integer", "minimum": 0},
-        "edges": {"type": "integer", "minimum": 0},
-        "dropped_links": {"type": "integer", "minimum": 0},
-        "acyclic": {"type": "boolean"},
-        "converged": {"type": "boolean"},
-        "convergence": _NODE_BRIEF_SCHEMA,
-        "origin": _NODE_BRIEF_SCHEMA,
-        "critical_path": {
-            "type": "object",
-            "required": ["start", "end", "elapsed", "hops", "rounds",
-                         "attribution"],
-            "properties": {
-                "start": _NODE_BRIEF_SCHEMA,
-                "end": _NODE_BRIEF_SCHEMA,
-                "elapsed": {"type": "number", "minimum": 0},
-                "rounds": {"type": "integer", "minimum": 0},
-                "attribution": _ATTRIBUTION_SCHEMA,
-                "hops": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["from", "to", "edge", "elapsed",
-                                     "categories"],
-                        "properties": {
-                            "from": _NODE_BRIEF_SCHEMA,
-                            "to": _NODE_BRIEF_SCHEMA,
-                            "edge": {"type": "string",
-                                     "enum": ["program", "transmit",
-                                              "queue"]},
-                            "elapsed": {"type": "number"},
-                            "categories": {"type": "object"},
-                        },
-                    },
-                },
-            },
-        },
-        "sessions": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["session", "messages", "rounds", "retries",
-                             "timeouts", "resumes", "aborts",
-                             "attribution", "coverage"],
-                "properties": {
-                    "messages": {"type": "integer", "minimum": 0},
-                    "rounds": {"type": "integer", "minimum": 0},
-                    "retries": {"type": "integer", "minimum": 0},
-                    "timeouts": {"type": "integer", "minimum": 0},
-                    "resumes": {"type": "integer", "minimum": 0},
-                    "aborts": {"type": "integer", "minimum": 0},
-                    "requested": {"type": "number"},
-                    "started": {"type": "number"},
-                    "ended": {"type": "number"},
-                    "queue_wait": {"type": "number"},
-                    "duration": {"type": "number"},
-                    "bits": {"type": "integer", "minimum": 0},
-                    "attribution": _ATTRIBUTION_SCHEMA,
-                    "coverage": {"type": "number", "minimum": 0},
-                },
-            },
-        },
-        "sites": {"type": "object"},
-        "protocols": {"type": "object"},
-        "coverage": {
-            "type": "object",
-            "required": ["sampled", "seen", "kept", "fraction"],
-            "properties": {
-                "sampled": {"type": "boolean"},
-                "seen": {"type": "integer", "minimum": 0},
-                "kept": {"type": "integer", "minimum": 0},
-                "fraction": {"type": "number", "minimum": 0},
-            },
-        },
-    },
-}
+#: The analysis document contract, checked in as package data; it uses
+#: the dependency-free subset :func:`repro.obs.otlp_schema.validate` checks.
+CAUSAL_SCHEMA: Dict[str, Any] = load_schema("repro.obs.causal.schema.json")
 
 
 def validate_analysis(document: Any) -> List[str]:
     """Validate an analysis document against :data:`CAUSAL_SCHEMA`."""
-    from repro.obs.otlp_schema import validate
     return validate(document, CAUSAL_SCHEMA)

@@ -21,11 +21,10 @@ from repro.net.channel import ChannelSpec
 from repro.net.cluster import ClusterConfig, ClusterRunner, launch_cluster
 from repro.net.topology import LinkProfile, TopologySpec
 from repro.net.wire import Encoding
-from repro.obs.dashboard import render_dashboard, write_html_report
-from repro.obs.exporters import to_otlp, to_prometheus
+from repro.obs.dashboard import render_dashboard, render_html_report
+from repro.obs.exporters import report_invalid, write_exports
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import ClusterMonitor, MonitorConfig
-from repro.obs.otlp_schema import validate_otlp
 from repro.obs.trace import SamplingPolicy, Tracer
 from repro.workload.cluster import (SessionRequest, chaos_faults,
                                     gossip_schedule, site_names,
@@ -155,30 +154,14 @@ def run_monitored_region_fleet(protocol: str, *, regions: int = 3,
     return monitor, runner, result
 
 
-def monitor_main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro monitor [--protocols ...] [--strict-invariants]``."""
-    parser = argparse.ArgumentParser(
-        prog="repro monitor",
-        description="Run the chaos fleet under live health monitoring and "
-                    "render a per-site dashboard.")
-    parser.add_argument("--protocols", default="brv,crv,srv",
-                        help="comma-separated protocol list "
-                             "(default: brv,crv,srv)")
-    parser.add_argument("--sites", type=int, default=8,
-                        help="fleet size (default: 8); with --regions this "
-                             "is the per-region site count")
+def _add_fleet_arguments(parser: argparse.ArgumentParser, *,
+                         sites_help: str) -> None:
+    """The chaos-fleet shape flags ``monitor`` and ``analyze`` share."""
+    parser.add_argument("--sites", type=int, default=8, help=sites_help)
     parser.add_argument("--objects", type=int, default=32,
                         help="replicated objects per site (default: 32)")
     parser.add_argument("--batch", type=int, default=8,
                         help="objects per wire frame (default: 8)")
-    parser.add_argument("--regions", type=int, default=0,
-                        help="run a sharded multi-region fleet with this "
-                             "many regions instead of the classic "
-                             "single-region chaos cell (default: 0 = "
-                             "classic)")
-    parser.add_argument("--replication", type=int, default=3,
-                        help="replicas per object in multi-region mode "
-                             "(default: 3)")
     parser.add_argument("--loss", type=float, default=0.1,
                         help="nominal loss rate of the chaos mix "
                              "(default: 0.1; 0 disables faults)")
@@ -188,6 +171,28 @@ def monitor_main(argv: Optional[List[str]] = None) -> int:
                         help="workload seed (default: 0)")
     parser.add_argument("--chaos-seed", type=int, default=11,
                         help="fault-injection seed (default: 11)")
+
+
+def monitor_main(argv: Optional[List[str]] = None) -> int:
+    """``python -m repro monitor [--protocols ...] [--strict-invariants]``."""
+    parser = argparse.ArgumentParser(
+        prog="repro monitor",
+        description="Run the chaos fleet under live health monitoring and "
+                    "render a per-site dashboard.")
+    parser.add_argument("--protocols", default="brv,crv,srv",
+                        help="comma-separated protocol list "
+                             "(default: brv,crv,srv)")
+    _add_fleet_arguments(parser, sites_help="fleet size (default: 8); with "
+                                            "--regions this is the "
+                                            "per-region site count")
+    parser.add_argument("--regions", type=int, default=0,
+                        help="run a sharded multi-region fleet with this "
+                             "many regions instead of the classic "
+                             "single-region chaos cell (default: 0 = "
+                             "classic)")
+    parser.add_argument("--replication", type=int, default=3,
+                        help="replicas per object in multi-region mode "
+                             "(default: 3)")
     parser.add_argument("--cadence", type=float, default=0.25,
                         help="simulated seconds between health samples "
                              "(default: 0.25)")
@@ -215,6 +220,10 @@ def monitor_main(argv: Optional[List[str]] = None) -> int:
     monitors: Dict[str, ClusterMonitor] = {}
     last_runner: Optional[ClusterRunner] = None
     total_violations = 0
+    fleet = dict(n_objects=args.objects, batch_size=args.batch,
+                 loss=args.loss, rounds=args.rounds, seed=args.seed,
+                 chaos_seed=args.chaos_seed, monitor_config=monitor_config,
+                 metrics=metrics)
     for protocol in protocols:
         try:
             if args.regions > 0:
@@ -224,20 +233,13 @@ def monitor_main(argv: Optional[List[str]] = None) -> int:
                       f"loss {args.loss:g} ===")
                 monitor, runner, result = run_monitored_region_fleet(
                     protocol, regions=args.regions,
-                    sites_per_region=args.sites, n_objects=args.objects,
-                    replication=args.replication, batch_size=args.batch,
-                    loss=args.loss, rounds=args.rounds, seed=args.seed,
-                    chaos_seed=args.chaos_seed,
-                    monitor_config=monitor_config, metrics=metrics)
+                    sites_per_region=args.sites,
+                    replication=args.replication, **fleet)
             else:
                 print(f"=== monitor {protocol}: {args.sites} sites × "
                       f"{args.objects} objects, loss {args.loss:g} ===")
                 monitor, runner, result = run_monitored_fleet(
-                    protocol, n_sites=args.sites, n_objects=args.objects,
-                    batch_size=args.batch, loss=args.loss,
-                    rounds=args.rounds, seed=args.seed,
-                    chaos_seed=args.chaos_seed,
-                    monitor_config=monitor_config, metrics=metrics)
+                    protocol, n_sites=args.sites, **fleet)
         except InvariantViolationError as error:
             print(f"ABORTED: {error}")
             return 1
@@ -250,29 +252,15 @@ def monitor_main(argv: Optional[List[str]] = None) -> int:
               f"consistent={result.consistent()}, "
               f"sim {result.completion_time:.2f}s")
         print()
-    if args.prom is not None:
-        # One registry accumulated across all protocols; the monitor
-        # gauges come from the last run (each dump is per-fleet state).
-        text = to_prometheus(metrics, next(reversed(monitors.values()))
-                             if monitors else None)
-        with open(args.prom, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote Prometheus dump to {args.prom}")
-    if args.otlp is not None:
-        last_monitor = next(reversed(monitors.values())) if monitors else None
-        document = to_otlp(last_runner.tracer if last_runner else None,
-                           metrics, last_monitor)
-        errors = validate_otlp(document)
-        if errors:
-            print(f"OTLP export failed schema validation: {errors[:3]}")
-            return 1
-        with open(args.otlp, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote OTLP JSON to {args.otlp} (schema-valid)")
-    if args.html is not None:
-        write_html_report(args.html, monitors)
-        print(f"wrote HTML report to {args.html}")
+    # One registry accumulated across all protocols; the monitor gauges
+    # come from the last run (each dump is per-fleet state).
+    last_monitor = next(reversed(monitors.values())) if monitors else None
+    if not write_exports(
+            tracer=last_runner.tracer if last_runner else None,
+            metrics=metrics, monitor=last_monitor, prom=args.prom,
+            otlp=args.otlp, html=args.html,
+            render_html=lambda: render_html_report(monitors)):
+        return 1
     if total_violations:
         print(f"{total_violations} invariant violation(s) counted")
         return 1
@@ -352,21 +340,7 @@ def analyze_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--protocol", default="srv",
                         choices=("brv", "crv", "srv"),
                         help="fleet protocol (default: srv)")
-    parser.add_argument("--sites", type=int, default=8,
-                        help="fleet size (default: 8)")
-    parser.add_argument("--objects", type=int, default=32,
-                        help="replicated objects per site (default: 32)")
-    parser.add_argument("--batch", type=int, default=8,
-                        help="objects per wire frame (default: 8)")
-    parser.add_argument("--loss", type=float, default=0.1,
-                        help="nominal chaos loss rate (default: 0.1; "
-                             "0 disables faults)")
-    parser.add_argument("--rounds", type=int, default=3,
-                        help="gossip rounds (default: 3)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="workload seed (default: 0)")
-    parser.add_argument("--chaos-seed", type=int, default=11,
-                        help="fault-injection seed (default: 11)")
+    _add_fleet_arguments(parser, sites_help="fleet size (default: 8)")
     parser.add_argument("--sample", action="store_true",
                         help="trace the fleet under deterministic "
                              "per-session sampling")
@@ -442,9 +416,7 @@ def analyze_main(argv: Optional[List[str]] = None) -> int:
     if args.waterfall or show_all:
         print(render_waterfall(document))
     if args.json is not None:
-        errors = validate_analysis(document)
-        if errors:  # pragma: no cover - schema and writer move together
-            print(f"analysis failed schema validation: {errors[:3]}")
+        if report_invalid("analysis", validate_analysis(document)):
             return 1
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2, sort_keys=False)

@@ -6,10 +6,9 @@ backlogs, retries.  What a client of the replicated store experiences is
 visible everywhere, and whether siblings converge or resurrect.  A
 :class:`ConsistencyMonitor` attaches to a
 :class:`~repro.store.cluster.StoreCluster` and measures exactly that,
-live, with the same observer contract as :class:`~repro.obs.monitor.
-ClusterMonitor`: it subscribes to the cluster's tracer, reads records in
-place, never schedules simulator events, and a run with ``monitor=None``
-(the default) executes byte-for-byte the unmonitored code path.
+live, as a :class:`~repro.obs.sampler.GaugeSampler`: it reads records in
+place and never schedules simulator events, so a run with
+``monitor=None`` (the default) executes the same schedule.
 
 Divergence gauges (per site, sampled on a cadence into ring buffers)
 --------------------------------------------------------------------
@@ -56,23 +55,19 @@ guarantees the ROADMAP wants to ship, before their semantics exist:
   (docs/STORE.md) trips exactly this check, turning a known limitation
   into a measured, regression-gated quantity.
 
-Violations emit structured ``consistency_violation`` trace events and
-are counted; ``strict=True`` raises
-:class:`~repro.errors.InvariantViolationError` on the first one,
-mirroring the invariant checkers.
+Violations are ``consistency_violation`` trace events, counted or, under
+``strict=True``, raised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.errors import InvariantViolationError
 from repro.obs import trace as obs
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.monitor import InvariantViolation, RingBuffer
-from repro.obs.otlp_schema import validate
-from repro.obs.trace import TraceEvent, Tracer
+from repro.obs.otlp_schema import load_schema, validate
+from repro.obs.sampler import GaugeSampler, SamplerConfig, per_region
 
 #: The per-site gauges every consistency sample records.
 CONSISTENCY_GAUGE_NAMES = ("sibling_population", "frontier_distance",
@@ -86,16 +81,13 @@ DIGEST_SCHEMA_ID = "repro.obs.consistency/1"
 
 
 @dataclass(frozen=True)
-class ConsistencyConfig:
+class ConsistencyConfig(SamplerConfig):
     """Knobs of one :class:`ConsistencyMonitor`.
 
+    ``cadence``, ``ring_capacity`` and ``strict`` are the shared
+    :class:`~repro.obs.sampler.SamplerConfig` fields.
+
     Attributes:
-        cadence: simulated seconds between divergence samples (> 0);
-            sampled lazily on observed clock movement, exactly like
-            :class:`~repro.obs.monitor.MonitorConfig`.
-        ring_capacity: samples kept per (site, gauge) series.
-        strict: raise :class:`~repro.errors.InvariantViolationError` on
-            the first violation instead of counting it.
         visibility_k: the ``k`` of the ``w_k`` histogram — a write
             counts as k-visible once ``min(k, n_sites)`` sites reflect
             it (the coordinator itself is the first).
@@ -104,19 +96,12 @@ class ConsistencyConfig:
         worst_keys: entries in the digest's worst-offender panel.
     """
 
-    cadence: float = 0.25
-    ring_capacity: int = 1024
-    strict: bool = False
     visibility_k: int = 2
     audit: bool = True
     worst_keys: int = 5
 
     def __post_init__(self) -> None:
-        if self.cadence <= 0:
-            raise ValueError(f"cadence must be > 0, got {self.cadence}")
-        if self.ring_capacity < 1:
-            raise ValueError(f"ring_capacity must be >= 1, "
-                             f"got {self.ring_capacity}")
+        super().__post_init__()
         if self.visibility_k < 1:
             raise ValueError(f"visibility_k must be >= 1, "
                              f"got {self.visibility_k}")
@@ -154,7 +139,7 @@ def _covers(context: Dict[str, int], reference: Dict[str, int]) -> bool:
                for site, count in reference.items())
 
 
-class ConsistencyMonitor:
+class ConsistencyMonitor(GaugeSampler):
     """Live consistency gauges + session-guarantee audit for one store run.
 
     One-shot like the cluster it watches::
@@ -163,29 +148,26 @@ class ConsistencyMonitor:
         result = run_store_workload(config, monitor=monitor)
         print(result.consistency["w_all_seconds"]["p99"])
 
-    The cluster calls :meth:`attach` when its run starts, the per-event
-    hooks while it executes, and :meth:`finalize` when its simulator
-    drains; the client workload feeds :meth:`audit_op` from its own
-    completion stream.  User code reads :meth:`summary` (the
+    The cluster drives the ``on_*`` hooks between :meth:`attach` and
+    :meth:`finalize`; the client workload feeds :meth:`audit_op` from its
+    own completion stream.  User code reads :meth:`summary` (the
     schema-validated digest), the ring series, or the violations list.
     """
 
+    GAUGES = CONSISTENCY_GAUGE_NAMES
+    FAMILY = "consistency"
+    GAUGE_HELP = "store consistency gauge"
+    VIOLATION_KIND = obs.CONSISTENCY_VIOLATION
+    VIOLATION_METRIC = "consistency.violations"
+    VIOLATION_LABEL = "consistency"
+
     def __init__(self, config: ConsistencyConfig = ConsistencyConfig(), *,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        self.config = config
-        self.metrics = metrics
-        #: The monitor's private tracer; a cluster constructed without a
-        #: tracer adopts it so store events exist to observe.
-        self.tracer = Tracer()
-        self.violations: List[InvariantViolation] = []
-        self.samples = 0
-        self.sites: List[str] = []
+        super().__init__(config, metrics=metrics)
         #: Visibility latency until ``min(k, n_sites)`` sites reflect a write.
         self.w_k = Histogram()
         #: Visibility latency until every site reflects a write.
         self.w_all = Histogram()
-        self._cluster: Any = None
-        self._series: Dict[str, Dict[str, RingBuffer]] = {}
         self._pending: Dict[str, List[_PendingWrite]] = {}
         self._writes_tracked = 0
         self._writes_visible_all = 0
@@ -193,9 +175,6 @@ class ConsistencyMonitor:
         self._site_watermark: Dict[str, float] = {}
         self._last_absorb: Dict[str, float] = {}
         self._key_watermarks: Dict[Tuple[str, str], float] = {}
-        self._next_sample: Optional[float] = None
-        self._subscribed: Optional[Tracer] = None
-        self._finalized = False
         self._audit: Dict[Tuple[int, str], _SessionAudit] = {}
         self._audit_ops = 0
         self._audit_counts: Dict[str, int] = {check: 0
@@ -203,43 +182,10 @@ class ConsistencyMonitor:
         self._key_violations: Dict[str, int] = {}
         self._clients_affected: Set[int] = set()
 
-    # -- lifecycle ---------------------------------------------------------------
-
-    def attach(self, cluster: Any) -> None:
-        """Bind to a :class:`~repro.store.cluster.StoreCluster` starting up.
-
-        Called by the cluster itself at the top of ``run()``; subscribes
-        to its tracer, initializes every site's series, and takes the
-        t=0 sample.
-        """
-        if self._cluster is not None:
-            raise InvariantViolationError(
-                "ConsistencyMonitor instances are one-shot; attach a "
-                "fresh one per run")
-        self._cluster = cluster
-        self.sites = list(cluster.sites)
+    def _on_attach(self) -> None:
         for site in self.sites:
-            self._series[site] = {
-                name: RingBuffer(self.config.ring_capacity)
-                for name in CONSISTENCY_GAUGE_NAMES}
             self._site_watermark[site] = 0.0
             self._last_absorb[site] = 0.0
-        tracer = cluster.tracer
-        if tracer is not None:
-            tracer.subscribe(self._on_trace_event)
-            self._subscribed = tracer
-        self._next_sample = self.config.cadence
-        self._sample(0.0)
-
-    def finalize(self) -> None:
-        """Take the final sample and unsubscribe from the tracer."""
-        if self._cluster is None or self._finalized:
-            return
-        self._finalized = True
-        self._sample(self._now())
-        if self._subscribed is not None:
-            self._subscribed.unsubscribe(self._on_trace_event)
-            self._subscribed = None
 
     # -- cluster hooks -----------------------------------------------------------
 
@@ -260,13 +206,7 @@ class ConsistencyMonitor:
                 self._site_watermark[site] = now
             self._ratchet(site, key, now, now)
             pending = _PendingWrite(written_at=now, arrived={site})
-            if len(pending.arrived) >= self._effective_k():
-                pending.k_done = True
-                self.w_k.observe(0.0)
-            if len(pending.arrived) >= len(self.sites):
-                self.w_all.observe(0.0)
-                self._writes_visible_all += 1
-            else:
+            if not self._arrived(pending, now):
                 self._pending.setdefault(key, []).append(pending)
         self._maybe_sample(now)
 
@@ -285,19 +225,12 @@ class ConsistencyMonitor:
             self._site_watermark[site] = updated_at
         pending = self._pending.get(key)
         if pending:
-            n_sites = len(self.sites)
             remaining: List[_PendingWrite] = []
             for write in pending:
                 if (write.written_at <= updated_at
                         and site not in write.arrived):
                     write.arrived.add(site)
-                    if (not write.k_done
-                            and len(write.arrived) >= self._effective_k()):
-                        write.k_done = True
-                        self.w_k.observe(now - write.written_at)
-                    if len(write.arrived) >= n_sites:
-                        self.w_all.observe(now - write.written_at)
-                        self._writes_visible_all += 1
+                    if self._arrived(write, now):
                         continue
                 remaining.append(write)
             if remaining:
@@ -310,42 +243,33 @@ class ConsistencyMonitor:
         """A session released its endpoints; the clock may have moved."""
         self._maybe_sample(now)
 
-    # -- the trace stream --------------------------------------------------------
-
-    def _on_trace_event(self, event: TraceEvent) -> None:
-        if (event.time is not None
-                and event.kind != obs.CONSISTENCY_VIOLATION):
-            self._maybe_sample(event.time)
+    def _arrived(self, write: _PendingWrite, now: float) -> bool:
+        """Observe the w_k / w_all latencies ``write`` just reached;
+        True once it is visible at every site."""
+        if not write.k_done and len(write.arrived) >= self._effective_k():
+            write.k_done = True
+            self.w_k.observe(now - write.written_at)
+        if len(write.arrived) < len(self.sites):
+            return False
+        self.w_all.observe(now - write.written_at)
+        self._writes_visible_all += 1
+        return True
 
     # -- sampling ----------------------------------------------------------------
-
-    def _now(self) -> float:
-        sim = getattr(self._cluster, "sim", None)
-        return sim.now if sim is not None else 0.0
 
     def _effective_k(self) -> int:
         if not self.sites:
             return self.config.visibility_k
         return min(self.config.visibility_k, len(self.sites))
 
-    def _maybe_sample(self, now: float) -> None:
-        if self._next_sample is None or now < self._next_sample:
-            return
-        self._sample(now)
-        cadence = self.config.cadence
-        # Skip boundaries the clock already jumped over (same contract
-        # as ClusterMonitor: next sample is one cadence past *now*).
-        periods = int((now - self._next_sample) / cadence) + 1
-        self._next_sample += periods * cadence
-
-    def _sample(self, now: float) -> None:
-        """Record one divergence sample for every site at ``now``.
+    def _measure(self, now: float) -> Iterator[Tuple[str, Tuple[float, ...]]]:
+        """One divergence sample per site at ``now``.
 
         A key's frontier is the element-wise max of its vector over
         every site that has heard of it; a site's frontier distance
         counts the elements it is behind, summed over keys.
         """
-        stores = self._cluster.stores
+        stores = self._target.stores
         keys: Set[str] = set()
         for store in stores.values():
             keys.update(store.table)
@@ -371,23 +295,10 @@ class ConsistencyMonitor:
                 for elem_site, peak in frontiers[key].items():
                     if peak > known.get(elem_site, 0):
                         distance += 1
-            series = self._series[site]
-            series["sibling_population"].append(
-                now, float(store.sibling_population()))
-            series["frontier_distance"].append(now, float(distance))
-            series["anti_entropy_lag"].append(
-                now, now - self._last_absorb[site])
-            series["replication_lag"].append(
-                now, max(0.0, self._newest_write
-                         - self._site_watermark[site]))
-            if self.metrics is not None:
-                for name in CONSISTENCY_GAUGE_NAMES:
-                    self.metrics.gauge(
-                        f"consistency.{site}.{name}").set(
-                            series[name].latest())
-        self.samples += 1
-        if self.metrics is not None:
-            self.metrics.counter("consistency.samples").inc()
+            yield site, (float(store.sibling_population()), float(distance),
+                         now - self._last_absorb[site],
+                         max(0.0, self._newest_write
+                             - self._site_watermark[site]))
 
     # -- invariants --------------------------------------------------------------
 
@@ -397,6 +308,7 @@ class ConsistencyMonitor:
         regress — puts take ``max`` and absorbs only move forward."""
         previous = self._key_watermarks.get((site, key), 0.0)
         if watermark < previous:
+            self._count_key_violation(key)
             self._violate(
                 "visibility_watermark", now,
                 f"{site}/{key} watermark regressed "
@@ -404,27 +316,6 @@ class ConsistencyMonitor:
                 site=site, key=key)
             return
         self._key_watermarks[(site, key)] = watermark
-
-    def _violate(self, check: str, now: float, message: str,
-                 **fields: Any) -> None:
-        violation = InvariantViolation(check=check, message=message,
-                                       time=now, fields=dict(fields))
-        self.violations.append(violation)
-        key = fields.get("key")
-        if key is not None:
-            self._key_violations[key] = self._key_violations.get(key, 0) + 1
-        tracer = (self._cluster.tracer
-                  if self._cluster is not None else None)
-        if tracer is None:
-            tracer = self.tracer
-        tracer.event(obs.CONSISTENCY_VIOLATION, time=now, check=check,
-                     message=message, **fields)
-        if self.metrics is not None:
-            self.metrics.counter("consistency.violations").inc()
-            self.metrics.counter(f"consistency.violations.{check}").inc()
-        if self.config.strict:
-            raise InvariantViolationError(
-                f"consistency {check!r} violated at t={now:.6f}: {message}")
 
     # -- the session-guarantee auditor -------------------------------------------
 
@@ -479,21 +370,13 @@ class ConsistencyMonitor:
                        time: float, message: str, **extra: Any) -> None:
         self._audit_counts[check] += 1
         self._clients_affected.add(client)
+        self._count_key_violation(key)
         self._violate(check, time, message, key=key, client=client, **extra)
 
+    def _count_key_violation(self, key: str) -> None:
+        self._key_violations[key] = self._key_violations.get(key, 0) + 1
+
     # -- read API ----------------------------------------------------------------
-
-    @property
-    def violation_count(self) -> int:
-        return len(self.violations)
-
-    def series(self, site: str, name: str) -> List[Tuple[float, float]]:
-        """One site's ``(time, value)`` series for gauge ``name``."""
-        return self._series[site][name].items()
-
-    def latest(self, site: str, name: str) -> Optional[float]:
-        """The most recent sample of one site's gauge (None before any)."""
-        return self._series[site][name].latest()
 
     def key_watermark(self, site: str, key: str) -> float:
         """The (site, key) visibility watermark last ratcheted."""
@@ -509,7 +392,7 @@ class ConsistencyMonitor:
         sets, widest staleness spread across replicas."""
         if limit is None:
             limit = self.config.worst_keys
-        stores = self._cluster.stores if self._cluster is not None else {}
+        stores = self._target.stores if self._target is not None else {}
         keys: Set[str] = set(self._key_violations)
         for store in stores.values():
             keys.update(store.table)
@@ -547,11 +430,12 @@ class ConsistencyMonitor:
         additionally rolls replication lag up per region; the key is
         simply absent otherwise.
         """
-        replication = {site: round(self._replication_lag(site), 9)
-                       for site in self.sites}
-        anti_entropy = {
-            site: round(self.latest(site, "anti_entropy_lag") or 0.0, 9)
-            for site in self.sites}
+        def final(name: str) -> Dict[str, float]:
+            return {site: round(self.latest(site, name) or 0.0, 9)
+                    for site in self.sites}
+
+        replication = final("replication_lag")
+        anti_entropy = final("anti_entropy_lag")
         digest: Dict[str, Any] = {
             "schema": DIGEST_SCHEMA_ID,
             "samples": self.samples,
@@ -577,27 +461,16 @@ class ConsistencyMonitor:
             },
             "worst_keys": self.worst_keys(),
         }
-        topology = (self._cluster.config.topology
-                    if self._cluster is not None else None)
+        topology = (self._target.config.topology
+                    if self._target is not None else None)
         if topology is not None:
-            per_region: Dict[str, Any] = {}
-            for region in topology.regions:
-                lags = [replication[site]
-                        for site in topology.region_sites(region.name)
-                        if site in replication]
-                per_region[region.name] = {
-                    "sites": region.sites,
+            digest["per_region"] = per_region(
+                topology, replication, lambda lags: {
                     "max_replication_lag_seconds": round(
                         max(lags, default=0.0), 9),
                     "mean_replication_lag_seconds": round(
-                        sum(lags) / len(lags) if lags else 0.0, 9),
-                }
-            digest["per_region"] = per_region
+                        sum(lags) / len(lags) if lags else 0.0, 9)})
         return digest
-
-    def _replication_lag(self, site: str) -> float:
-        latest = self.latest(site, "replication_lag")
-        return latest if latest is not None else 0.0
 
 
 def _rounded_summary(histogram: Histogram) -> Dict[str, float]:
@@ -607,83 +480,9 @@ def _rounded_summary(histogram: Histogram) -> Dict[str, float]:
             for name, value in summary.items()}
 
 
-# -- the digest schema ---------------------------------------------------------
-
-_QUANTILES = {
-    "type": "object",
-    "required": ["count", "mean", "max", "p50", "p90", "p99", "p999"],
-    "properties": {
-        "count": {"type": "integer", "minimum": 0},
-        "mean": {"type": "number", "minimum": 0},
-        "max": {"type": "number", "minimum": 0},
-        "p50": {"type": "number", "minimum": 0},
-        "p90": {"type": "number", "minimum": 0},
-        "p95": {"type": "number", "minimum": 0},
-        "p99": {"type": "number", "minimum": 0},
-        "p999": {"type": "number", "minimum": 0},
-    },
-}
-
 #: The consistency digest produced by :meth:`ConsistencyMonitor.summary`.
-#: ``schemas/repro.obs.consistency.schema.json`` is the same schema
-#: checked in for external tooling; a unit test pins file == dict.
-CONSISTENCY_SCHEMA: Dict[str, Any] = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "$id": "repro.obs.consistency.schema.json",
-    "title": "repro store consistency digest",
-    "type": "object",
-    "required": [
-        "schema", "samples", "sites", "visibility_k", "writes_tracked",
-        "writes_visible_all", "writes_pending", "w_k_seconds",
-        "w_all_seconds", "replication_lag_seconds",
-        "max_replication_lag_seconds", "anti_entropy_lag_seconds",
-        "audit", "worst_keys",
-    ],
-    "properties": {
-        "schema": {"enum": [DIGEST_SCHEMA_ID]},
-        "samples": {"type": "integer", "minimum": 0},
-        "sites": {"type": "integer", "minimum": 0},
-        "visibility_k": {"type": "integer", "minimum": 1},
-        "writes_tracked": {"type": "integer", "minimum": 0},
-        "writes_visible_all": {"type": "integer", "minimum": 0},
-        "writes_pending": {"type": "integer", "minimum": 0},
-        "w_k_seconds": _QUANTILES,
-        "w_all_seconds": _QUANTILES,
-        "replication_lag_seconds": {"type": "object"},
-        "max_replication_lag_seconds": {"type": "number", "minimum": 0},
-        "anti_entropy_lag_seconds": {"type": "object"},
-        "audit": {
-            "type": "object",
-            "required": ["ops_audited", "violations", "read_your_writes",
-                         "monotonic_reads", "resurrections",
-                         "clients_affected"],
-            "properties": {
-                "ops_audited": {"type": "integer", "minimum": 0},
-                "violations": {"type": "integer", "minimum": 0},
-                "read_your_writes": {"type": "integer", "minimum": 0},
-                "monotonic_reads": {"type": "integer", "minimum": 0},
-                "resurrections": {"type": "integer", "minimum": 0},
-                "clients_affected": {"type": "integer", "minimum": 0},
-            },
-        },
-        "worst_keys": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["key", "violations", "max_siblings",
-                             "staleness_spread_seconds"],
-                "properties": {
-                    "key": {"type": "string"},
-                    "violations": {"type": "integer", "minimum": 0},
-                    "max_siblings": {"type": "integer", "minimum": 0},
-                    "staleness_spread_seconds": {"type": "number",
-                                                 "minimum": 0},
-                },
-            },
-        },
-        "per_region": {"type": "object"},
-    },
-}
+CONSISTENCY_SCHEMA: Dict[str, Any] = load_schema(
+    "repro.obs.consistency.schema.json")
 
 
 def validate_consistency(document: Any) -> List[str]:

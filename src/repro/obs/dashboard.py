@@ -1,31 +1,29 @@
-"""Terminal dashboard and static HTML report over a ClusterMonitor.
+"""Terminal dashboards and static HTML reports over the monitors.
 
-The terminal view is a per-site table of unicode sparklines — one row
-per site, one column per health gauge — followed by a worst-offender
-ranking (lowest convergence score first) and the invariant-checker
-verdict.  The HTML report is fully self-contained (inline CSS, inline
-SVG polylines, zero external assets), so CI can archive it as a single
-artifact and a browser anywhere can open it.
-
-The same shapes exist for the store's
-:class:`~repro.obs.consistency.ConsistencyMonitor` —
-:func:`render_consistency_dashboard` (per-site divergence sparklines,
-the per-key worst-offender panel, the session-guarantee verdict) and
-:func:`render_consistency_html_report`.
+Both monitors share one frame: a per-site table of unicode sparklines
+(one column per gauge of the monitor's family), the monitor's own
+panels, then its verdict and first violations.  The HTML report is
+fully self-contained (inline CSS, inline SVG polylines, zero external
+assets), so CI can archive it as a single artifact.  The panels are
+per-region scores and worst offenders for a
+:class:`~repro.obs.monitor.ClusterMonitor`, visibility percentiles and
+worst keys for a :class:`~repro.obs.consistency.ConsistencyMonitor`.
 """
 
 from __future__ import annotations
 
 import html
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
-from repro.obs.consistency import CONSISTENCY_GAUGE_NAMES, ConsistencyMonitor
-from repro.obs.monitor import GAUGE_NAMES, ClusterMonitor
+from repro.obs.consistency import ConsistencyMonitor
+from repro.obs.monitor import ClusterMonitor
+from repro.obs.sampler import GaugeSampler
 
 #: Eight-level block ramp, lowest to highest.
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
-#: Gauge -> short column header for the terminal table.
+#: Gauge -> short column header for the terminal table (both families).
 _HEADERS = {
     "frontier_distance": "frontier",
     "delta_backlog": "backlog",
@@ -33,12 +31,7 @@ _HEADERS = {
     "segment_count": "segments",
     "pressure": "pressure",
     "convergence_score": "converge",
-}
-
-#: Consistency gauge -> short column header for the terminal table.
-_CONSISTENCY_HEADERS = {
     "sibling_population": "siblings",
-    "frontier_distance": "frontier",
     "anti_entropy_lag": "ae lag",
     "replication_lag": "repl lag",
 }
@@ -74,10 +67,64 @@ def sparkline(values: Sequence[float], width: int = 16) -> str:
     return "".join(chars).rjust(width)
 
 
+# -- the shared terminal frame ----------------------------------------------------
+
+
+def _dashboard(monitor: GaugeSampler, panels: List[str], *, width: int,
+               max_sites: Optional[int], headline: str,
+               all_passed: str) -> str:
+    """Sparkline table, the monitor's panels, then its verdict.
+
+    ``headline`` opens the violation list when there are violations;
+    ``all_passed`` is the verdict line when there are none.
+    """
+    site_width = max([len(site) for site in monitor.sites] + [4])
+    header = "  ".join(_HEADERS[name].center(width)
+                       for name in monitor.GAUGES)
+    lines = [f"{'site'.ljust(site_width)}  {header}"]
+    shown = (monitor.sites if max_sites is None
+             else monitor.sites[:max_sites])
+    for site in shown:
+        cells = [sparkline([value for _, value in monitor.series(site, name)],
+                           width)
+                 for name in monitor.GAUGES]
+        lines.append(f"{site.ljust(site_width)}  " + "  ".join(cells))
+    if len(shown) < len(monitor.sites):
+        lines.append(f"{'…'.ljust(site_width)}  "
+                     f"({len(monitor.sites) - len(shown)} more sites)")
+    lines.extend(panels)
+    lines.append("")
+    if monitor.violation_count:
+        lines.append(headline)
+        for violation in monitor.violations[:10]:
+            stamp = (f"t={violation.time:.3f}" if violation.time is not None
+                     else "t=?")
+            lines.append(f"  [{violation.check}] {stamp} "
+                         f"{violation.message}")
+    else:
+        lines.append(all_passed)
+    return "\n".join(lines)
+
+
+def _region_table(per_region: Optional[Dict[str, Any]],
+                  columns: Sequence[Tuple[str, str, float]]) -> List[str]:
+    """Per-region rollup rows; each column is (title, key, scale)."""
+    if not per_region:
+        return []
+    name_width = max([len(name) for name in per_region] + [6])
+    lines = ["", f"{'region'.ljust(name_width)}  sites  "
+                 + "  ".join(title for title, _, _ in columns)]
+    for name, stats in per_region.items():
+        lines.append(f"{name.ljust(name_width)}  {stats['sites']:>5}  "
+                     + "  ".join(f"{stats[key] * scale:>{len(title)}.3f}"
+                                 for title, key, scale in columns))
+    return lines
+
+
 def render_dashboard(monitor: ClusterMonitor, *, width: int = 16,
                      offenders: int = 5,
                      max_sites: Optional[int] = None) -> str:
-    """The terminal dashboard: sparkline table + ranking + verdict.
+    """The cluster dashboard: sparkline table + ranking + verdict.
 
     ``max_sites`` truncates the per-site sparkline table (worst offenders
     and the rollups below still cover the whole fleet) — pass it when
@@ -85,33 +132,10 @@ def render_dashboard(monitor: ClusterMonitor, *, width: int = 16,
     additionally get a per-region health table and, when sharded, a
     one-line shard-load summary.
     """
-    lines: List[str] = []
-    site_width = max([len(site) for site in monitor.sites] + [4])
-    header = "  ".join([_HEADERS[name].center(width) for name in GAUGE_NAMES])
-    lines.append(f"{'site'.ljust(site_width)}  {header}")
-    shown = (monitor.sites if max_sites is None
-             else monitor.sites[:max_sites])
-    for site in shown:
-        cells = []
-        for name in GAUGE_NAMES:
-            cells.append(sparkline(
-                [value for _, value in monitor.series(site, name)], width))
-        lines.append(f"{site.ljust(site_width)}  " + "  ".join(cells))
-    if len(shown) < len(monitor.sites):
-        lines.append(f"{'…'.ljust(site_width)}  "
-                     f"({len(monitor.sites) - len(shown)} more sites)")
     summary = monitor.health_summary()
-    per_region = summary.get("per_region")
-    if per_region:
-        lines.append("")
-        name_width = max([len(name) for name in per_region] + [6])
-        lines.append(f"{'region'.ljust(name_width)}  sites  min score  "
-                     f"mean score")
-        for name, stats in per_region.items():
-            lines.append(
-                f"{name.ljust(name_width)}  {stats['sites']:>5}  "
-                f"{stats['min_final_score']:>9.3f}  "
-                f"{stats['mean_final_score']:>10.3f}")
+    lines = _region_table(summary.get("per_region"), (
+        ("min score", "min_final_score", 1),
+        ("mean score", "mean_final_score", 1)))
     shard_stats = summary.get("shards")
     if shard_stats:
         load = shard_stats["load"]
@@ -124,34 +148,72 @@ def render_dashboard(monitor: ClusterMonitor, *, width: int = 16,
     lines.append("")
     lines.append(f"worst offenders (of {len(monitor.sites)} sites, "
                  f"lowest convergence first):")
+    site_width = max([len(site) for site in monitor.sites] + [4])
     for rank, site in enumerate(monitor.worst_offenders(offenders), 1):
         score = monitor.latest(site, "convergence_score")
         backlog = monitor.latest(site, "delta_backlog")
-        pressure = monitor.pressure(site)
-        pressure_total = (pressure["retries"] + pressure["timeouts"]
-                          + pressure["resumes"])
         lines.append(
             f"  {rank}. {site.ljust(site_width)} "
             f"score={score if score is not None else 'n/a':>6} "
             f"backlog={int(backlog) if backlog is not None else 0:>5} "
-            f"pressure={pressure_total}")
+            f"pressure={monitor.pressure_total(site)}")
+    return _dashboard(
+        monitor, lines, width=width, max_sites=max_sites,
+        headline=f"INVARIANT VIOLATIONS: {monitor.violation_count}",
+        all_passed=(f"invariants: all checks passed "
+                    f"({monitor.samples} samples, "
+                    f"{summary['sessions_checked']} sessions checked)"))
+
+
+def render_consistency_dashboard(monitor: ConsistencyMonitor, *,
+                                 width: int = 16, offenders: int = 5,
+                                 max_sites: Optional[int] = None) -> str:
+    """The store consistency dashboard: divergence sparklines per site,
+    visibility percentiles, the per-key worst-offender panel, and the
+    session-guarantee verdict."""
+    summary = monitor.summary()
+    lines = [
+        "",
+        f"write visibility (k={summary['visibility_k']}, "
+        f"{summary['writes_tracked']} writes, "
+        f"{summary['writes_pending']} pending):",
+    ]
+    for label in ("w_k", "w_all"):
+        quantiles = summary[f"{label}_seconds"]
+        lines.append(
+            f"  {label:<6} p50={quantiles['p50'] * 1000:8.3f}ms  "
+            f"p90={quantiles['p90'] * 1000:8.3f}ms  "
+            f"p99={quantiles['p99'] * 1000:8.3f}ms  "
+            f"p999={quantiles['p999'] * 1000:8.3f}ms")
+    lines.append(
+        f"replication lag: max "
+        f"{summary['max_replication_lag_seconds'] * 1000:.3f}ms")
+    lines.extend(_region_table(summary.get("per_region"), (
+        ("max lag ms", "max_replication_lag_seconds", 1000),
+        ("mean lag ms", "mean_replication_lag_seconds", 1000))))
     lines.append("")
-    if monitor.violation_count:
-        lines.append(f"INVARIANT VIOLATIONS: {monitor.violation_count}")
-        for violation in monitor.violations[:10]:
-            stamp = (f"t={violation.time:.3f}" if violation.time is not None
-                     else "t=?")
-            lines.append(f"  [{violation.check}] {stamp} "
-                         f"{violation.message}")
-    else:
-        lines.append(f"invariants: all checks passed "
-                     f"({monitor.samples} samples, "
-                     f"{monitor.health_summary()['sessions_checked']} "
-                     f"sessions checked)")
-    return "\n".join(lines)
+    lines.append("worst keys (violations, max siblings, spread):")
+    for rank, entry in enumerate(monitor.worst_keys(offenders), 1):
+        lines.append(
+            f"  {rank}. {entry['key']:<12} "
+            f"violations={entry['violations']:>4} "
+            f"siblings={entry['max_siblings']:>3} "
+            f"spread={entry['staleness_spread_seconds'] * 1000:.3f}ms")
+    audit = summary["audit"]
+    return _dashboard(
+        monitor, lines, width=width, max_sites=max_sites,
+        headline=(f"CONSISTENCY VIOLATIONS: {monitor.violation_count} "
+                  f"(ryw={audit['read_your_writes']} "
+                  f"monotonic={audit['monotonic_reads']} "
+                  f"resurrection={audit['resurrections']}) over "
+                  f"{audit['ops_audited']} audited ops, "
+                  f"{audit['clients_affected']} clients affected"),
+        all_passed=(f"session guarantees: all checks passed "
+                    f"({audit['ops_audited']} ops audited, "
+                    f"{monitor.samples} samples)"))
 
 
-# -- HTML report -------------------------------------------------------------------
+# -- the shared HTML frame ---------------------------------------------------------
 
 
 def _svg_series(series: List[Tuple[float, float]], *, width: int = 320,
@@ -193,6 +255,86 @@ th { background: #f3f4f6; }
 """
 
 
+def _html_page(title: str, monitors: Mapping[str, GaugeSampler],
+               section: Callable[[Any], List[str]]) -> str:
+    """The self-contained page: one section per labelled monitor, each
+    closed by its violation list."""
+    parts: List[str] = [
+        "<!DOCTYPE html>",
+        '<html lang="en"><head><meta charset="utf-8">',
+        f"<title>{html.escape(title)}</title>",
+        f"<style>{_HTML_STYLE}</style></head><body>",
+        f"<h1>{html.escape(title)}</h1>",
+    ]
+    for label, monitor in monitors.items():
+        parts.append(f"<h2>{html.escape(label)}</h2>")
+        parts.extend(section(monitor))
+        if monitor.violation_count:
+            parts.append("<h3>violations</h3><ul>")
+            for violation in monitor.violations[:50]:
+                parts.append(f"<li><code>{html.escape(violation.check)}"
+                             f"</code> {html.escape(violation.message)}"
+                             f"</li>")
+            parts.append("</ul>")
+    parts.append("</body></html>")
+    return "\n".join(parts)
+
+
+def _verdict(monitor: GaugeSampler, all_held: str) -> str:
+    """The meta line's ok/bad verdict span."""
+    if not monitor.violation_count:
+        return f'<span class="ok">{all_held}</span>'
+    return (f'<span class="bad">{monitor.violation_count} '
+            f'{monitor.VIOLATION_LABEL} violation(s)</span>')
+
+
+def _site_table(monitor: GaugeSampler, plotted: str, columns: Sequence[str],
+                cells: Callable[[str], str], **svg: Any) -> List[str]:
+    """One row per site: the ``plotted`` series as SVG, then ``cells``."""
+    parts = ["<table><tr><th>site</th>"
+             f"<th>{plotted.replace('_', ' ')}</th>"
+             + "".join(f"<th class=num>{column}</th>" for column in columns)
+             + "</tr>"]
+    for site in monitor.sites:
+        parts.append(
+            f"<tr><td>{html.escape(site)}</td>"
+            f"<td>{_svg_series(monitor.series(site, plotted), **svg)}</td>"
+            f"{cells(site)}</tr>")
+    parts.append("</table>")
+    return parts
+
+
+def _cluster_section(monitor: ClusterMonitor) -> List[str]:
+    summary = monitor.health_summary()
+
+    def cells(site: str) -> str:
+        score = monitor.latest(site, "convergence_score")
+        backlog = monitor.latest(site, "delta_backlog") or 0
+        segments = monitor.latest(site, "segment_count") or 0
+        conflict = monitor.latest(site, "conflict_density") or 0.0
+        score_text = f"{score:.3f}" if score is not None else "n/a"
+        score_class = ("ok" if score is not None and score >= 1.0
+                       else "bad")
+        return (f'<td class="num {score_class}">{score_text}</td>'
+                f'<td class="num">{int(backlog)}</td>'
+                f'<td class="num">{int(segments)}</td>'
+                f'<td class="num">{conflict:.3f}</td>'
+                f'<td class="num">{monitor.pressure_total(site)}</td>')
+
+    return [
+        f'<p class="meta">{summary["sites"]} sites · '
+        f'{summary["samples"]} samples · '
+        f'{summary["sessions_checked"]} sessions checked · '
+        f'{_verdict(monitor, "all invariants held")} · '
+        f'min final score '
+        f'{summary["min_final_score"]:.3f}</p>',
+        *_site_table(monitor, "convergence_score",
+                     ("final", "backlog", "segments", "conflict",
+                      "pressure"),
+                     cells, y_max=1.0),
+    ]
+
+
 def render_html_report(monitors: Dict[str, ClusterMonitor], *,
                        title: str = "repro convergence observatory"
                        ) -> str:
@@ -203,154 +345,51 @@ def render_html_report(monitors: Dict[str, ClusterMonitor], *,
     site, y pinned to [0, 1] so 1.0 reads as "touching the top"), a
     final-gauges table, and its invariant verdict.
     """
-    parts: List[str] = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        f"<title>{html.escape(title)}</title>",
-        f"<style>{_HTML_STYLE}</style></head><body>",
-        f"<h1>{html.escape(title)}</h1>",
-    ]
-    for label, monitor in monitors.items():
-        summary = monitor.health_summary()
-        verdict = ("all invariants held"
-                   if not monitor.violation_count
-                   else f"{monitor.violation_count} invariant "
-                        f"violation(s)")
-        verdict_class = "ok" if not monitor.violation_count else "bad"
-        parts.append(f"<h2>{html.escape(label)}</h2>")
-        parts.append(
-            f'<p class="meta">{summary["sites"]} sites · '
-            f'{summary["samples"]} samples · '
-            f'{summary["sessions_checked"]} sessions checked · '
-            f'<span class="{verdict_class}">{verdict}</span> · '
-            f'min final score '
-            f'{summary["min_final_score"]:.3f}</p>')
-        parts.append("<table><tr><th>site</th>"
-                     "<th>convergence score</th>"
-                     "<th class=num>final</th>"
-                     "<th class=num>backlog</th>"
-                     "<th class=num>segments</th>"
-                     "<th class=num>conflict</th>"
-                     "<th class=num>pressure</th></tr>")
-        for site in monitor.sites:
-            score_series = monitor.series(site, "convergence_score")
-            score = monitor.latest(site, "convergence_score")
-            backlog = monitor.latest(site, "delta_backlog") or 0
-            segments = monitor.latest(site, "segment_count") or 0
-            conflict = monitor.latest(site, "conflict_density") or 0.0
-            pressure = monitor.pressure(site)
-            pressure_total = (pressure["retries"] + pressure["timeouts"]
-                              + pressure["resumes"])
-            score_text = f"{score:.3f}" if score is not None else "n/a"
-            score_class = ("ok" if score is not None and score >= 1.0
-                           else "bad")
-            parts.append(
-                f"<tr><td>{html.escape(site)}</td>"
-                f"<td>{_svg_series(score_series, y_max=1.0)}</td>"
-                f'<td class="num {score_class}">{score_text}</td>'
-                f'<td class="num">{int(backlog)}</td>'
-                f'<td class="num">{int(segments)}</td>'
-                f'<td class="num">{conflict:.3f}</td>'
-                f'<td class="num">{pressure_total}</td></tr>')
-        parts.append("</table>")
-        if monitor.violation_count:
-            parts.append("<h3>violations</h3><ul>")
-            for violation in monitor.violations[:50]:
-                parts.append(f"<li><code>{html.escape(violation.check)}"
-                             f"</code> {html.escape(violation.message)}"
-                             f"</li>")
-            parts.append("</ul>")
-    parts.append("</body></html>")
-    return "\n".join(parts)
+    return _html_page(title, monitors, _cluster_section)
 
 
-def write_html_report(path: str, monitors: Dict[str, ClusterMonitor],
-                      **kwargs: Any) -> None:
-    """Render and write the report to ``path`` (UTF-8)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_html_report(monitors, **kwargs))
-
-
-# -- consistency observatory views -------------------------------------------------
-
-
-def render_consistency_dashboard(monitor: ConsistencyMonitor, *,
-                                 width: int = 16, offenders: int = 5,
-                                 max_sites: Optional[int] = None) -> str:
-    """The store consistency dashboard: divergence sparklines per site,
-    visibility percentiles, the per-key worst-offender panel, and the
-    session-guarantee verdict."""
-    lines: List[str] = []
-    site_width = max([len(site) for site in monitor.sites] + [4])
-    header = "  ".join(_CONSISTENCY_HEADERS[name].center(width)
-                       for name in CONSISTENCY_GAUGE_NAMES)
-    lines.append(f"{'site'.ljust(site_width)}  {header}")
-    shown = (monitor.sites if max_sites is None
-             else monitor.sites[:max_sites])
-    for site in shown:
-        cells = [sparkline([value for _, value in monitor.series(site, name)],
-                           width)
-                 for name in CONSISTENCY_GAUGE_NAMES]
-        lines.append(f"{site.ljust(site_width)}  " + "  ".join(cells))
-    if len(shown) < len(monitor.sites):
-        lines.append(f"{'…'.ljust(site_width)}  "
-                     f"({len(monitor.sites) - len(shown)} more sites)")
+def _consistency_section(monitor: ConsistencyMonitor) -> List[str]:
     summary = monitor.summary()
-    w_k = summary["w_k_seconds"]
-    w_all = summary["w_all_seconds"]
-    lines.append("")
-    lines.append(
-        f"write visibility (k={summary['visibility_k']}, "
-        f"{summary['writes_tracked']} writes, "
-        f"{summary['writes_pending']} pending):")
-    for label, quantiles in (("w_k", w_k), ("w_all", w_all)):
-        lines.append(
-            f"  {label:<6} p50={quantiles['p50'] * 1000:8.3f}ms  "
-            f"p90={quantiles['p90'] * 1000:8.3f}ms  "
-            f"p99={quantiles['p99'] * 1000:8.3f}ms  "
-            f"p999={quantiles['p999'] * 1000:8.3f}ms")
-    lines.append(
-        f"replication lag: max "
-        f"{summary['max_replication_lag_seconds'] * 1000:.3f}ms")
-    per_region = summary.get("per_region")
-    if per_region:
-        lines.append("")
-        name_width = max([len(name) for name in per_region] + [6])
-        lines.append(f"{'region'.ljust(name_width)}  sites  "
-                     f"max lag ms  mean lag ms")
-        for name, stats in per_region.items():
-            lines.append(
-                f"{name.ljust(name_width)}  {stats['sites']:>5}  "
-                f"{stats['max_replication_lag_seconds'] * 1000:>10.3f}  "
-                f"{stats['mean_replication_lag_seconds'] * 1000:>11.3f}")
-    lines.append("")
-    lines.append("worst keys (violations, max siblings, spread):")
-    for rank, entry in enumerate(monitor.worst_keys(offenders), 1):
-        lines.append(
-            f"  {rank}. {entry['key']:<12} "
-            f"violations={entry['violations']:>4} "
-            f"siblings={entry['max_siblings']:>3} "
-            f"spread={entry['staleness_spread_seconds'] * 1000:.3f}ms")
-    lines.append("")
     audit = summary["audit"]
-    if monitor.violation_count:
-        lines.append(
-            f"CONSISTENCY VIOLATIONS: {monitor.violation_count} "
-            f"(ryw={audit['read_your_writes']} "
-            f"monotonic={audit['monotonic_reads']} "
-            f"resurrection={audit['resurrections']}) over "
-            f"{audit['ops_audited']} audited ops, "
-            f"{audit['clients_affected']} clients affected")
-        for violation in monitor.violations[:10]:
-            stamp = (f"t={violation.time:.3f}" if violation.time is not None
-                     else "t=?")
-            lines.append(f"  [{violation.check}] {stamp} "
-                         f"{violation.message}")
-    else:
-        lines.append(f"session guarantees: all checks passed "
-                     f"({audit['ops_audited']} ops audited, "
-                     f"{monitor.samples} samples)")
-    return "\n".join(lines)
+    w_all = summary["w_all_seconds"]
+
+    def cells(site: str) -> str:
+        lag = monitor.latest(site, "replication_lag") or 0.0
+        ae_lag = monitor.latest(site, "anti_entropy_lag") or 0.0
+        siblings = monitor.latest(site, "sibling_population") or 0
+        frontier = monitor.latest(site, "frontier_distance") or 0
+        lag_class = "ok" if lag == 0.0 else "bad"
+        return (f'<td class="num {lag_class}">{lag:.6f}</td>'
+                f'<td class="num">{ae_lag:.6f}</td>'
+                f'<td class="num">{int(siblings)}</td>'
+                f'<td class="num">{int(frontier)}</td>')
+
+    parts = [
+        f'<p class="meta">{summary["sites"]} sites · '
+        f'{summary["samples"]} samples · '
+        f'{summary["writes_tracked"]} writes tracked · '
+        f'w_all p99 {w_all["p99"] * 1000:.3f}ms / '
+        f'p999 {w_all["p999"] * 1000:.3f}ms · '
+        f'{audit["ops_audited"]} ops audited · '
+        f'{_verdict(monitor, "all session guarantees held")}</p>',
+        *_site_table(monitor, "replication_lag",
+                     ("final lag s", "ae lag s", "siblings", "frontier"),
+                     cells, color="#b45309"),
+        "<h3>worst keys</h3>",
+        "<table><tr><th>key</th>"
+        "<th class=num>violations</th>"
+        "<th class=num>max siblings</th>"
+        "<th class=num>staleness spread s</th></tr>",
+    ]
+    for entry in summary["worst_keys"]:
+        parts.append(
+            f"<tr><td>{html.escape(entry['key'])}</td>"
+            f'<td class="num">{entry["violations"]}</td>'
+            f'<td class="num">{entry["max_siblings"]}</td>'
+            f'<td class="num">'
+            f'{entry["staleness_spread_seconds"]:.6f}</td></tr>')
+    parts.append("</table>")
+    return parts
 
 
 def render_consistency_html_report(
@@ -359,79 +398,4 @@ def render_consistency_html_report(
     """A self-contained static HTML report over one consistency monitor
     per label: replication-lag series per site, visibility percentiles,
     the per-key worst-offender panel, and the audit verdict."""
-    parts: List[str] = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        f"<title>{html.escape(title)}</title>",
-        f"<style>{_HTML_STYLE}</style></head><body>",
-        f"<h1>{html.escape(title)}</h1>",
-    ]
-    for label, monitor in monitors.items():
-        summary = monitor.summary()
-        audit = summary["audit"]
-        verdict = ("all session guarantees held"
-                   if not monitor.violation_count
-                   else f"{monitor.violation_count} consistency "
-                        f"violation(s)")
-        verdict_class = "ok" if not monitor.violation_count else "bad"
-        w_all = summary["w_all_seconds"]
-        parts.append(f"<h2>{html.escape(label)}</h2>")
-        parts.append(
-            f'<p class="meta">{summary["sites"]} sites · '
-            f'{summary["samples"]} samples · '
-            f'{summary["writes_tracked"]} writes tracked · '
-            f'w_all p99 {w_all["p99"] * 1000:.3f}ms / '
-            f'p999 {w_all["p999"] * 1000:.3f}ms · '
-            f'{audit["ops_audited"]} ops audited · '
-            f'<span class="{verdict_class}">{verdict}</span></p>')
-        parts.append("<table><tr><th>site</th>"
-                     "<th>replication lag</th>"
-                     "<th class=num>final lag s</th>"
-                     "<th class=num>ae lag s</th>"
-                     "<th class=num>siblings</th>"
-                     "<th class=num>frontier</th></tr>")
-        for site in monitor.sites:
-            lag_series = monitor.series(site, "replication_lag")
-            lag = monitor.latest(site, "replication_lag") or 0.0
-            ae_lag = monitor.latest(site, "anti_entropy_lag") or 0.0
-            siblings = monitor.latest(site, "sibling_population") or 0
-            frontier = monitor.latest(site, "frontier_distance") or 0
-            lag_class = "ok" if lag == 0.0 else "bad"
-            parts.append(
-                f"<tr><td>{html.escape(site)}</td>"
-                f"<td>{_svg_series(lag_series, color='#b45309')}</td>"
-                f'<td class="num {lag_class}">{lag:.6f}</td>'
-                f'<td class="num">{ae_lag:.6f}</td>'
-                f'<td class="num">{int(siblings)}</td>'
-                f'<td class="num">{int(frontier)}</td></tr>')
-        parts.append("</table>")
-        parts.append("<h3>worst keys</h3>")
-        parts.append("<table><tr><th>key</th>"
-                     "<th class=num>violations</th>"
-                     "<th class=num>max siblings</th>"
-                     "<th class=num>staleness spread s</th></tr>")
-        for entry in summary["worst_keys"]:
-            parts.append(
-                f"<tr><td>{html.escape(entry['key'])}</td>"
-                f'<td class="num">{entry["violations"]}</td>'
-                f'<td class="num">{entry["max_siblings"]}</td>'
-                f'<td class="num">'
-                f'{entry["staleness_spread_seconds"]:.6f}</td></tr>')
-        parts.append("</table>")
-        if monitor.violation_count:
-            parts.append("<h3>violations</h3><ul>")
-            for violation in monitor.violations[:50]:
-                parts.append(f"<li><code>{html.escape(violation.check)}"
-                             f"</code> {html.escape(violation.message)}"
-                             f"</li>")
-            parts.append("</ul>")
-    parts.append("</body></html>")
-    return "\n".join(parts)
-
-
-def write_consistency_html_report(path: str,
-                                  monitors: Dict[str, ConsistencyMonitor],
-                                  **kwargs: Any) -> None:
-    """Render and write the consistency report to ``path`` (UTF-8)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_consistency_html_report(monitors, **kwargs))
+    return _html_page(title, monitors, _consistency_section)

@@ -22,14 +22,16 @@ never, changes no measurement.
 
 from __future__ import annotations
 
+import json
 import re
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs import trace as obs
-from repro.obs.consistency import (CONSISTENCY_GAUGE_NAMES,
-                                   ConsistencyMonitor)
+from repro.obs.consistency import ConsistencyMonitor
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.monitor import GAUGE_NAMES, ClusterMonitor
+from repro.obs.monitor import ClusterMonitor
+from repro.obs.otlp_schema import validate_otlp
+from repro.obs.sampler import GaugeSampler
 from repro.obs.trace import Tracer
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -85,44 +87,50 @@ def to_prometheus(metrics: Optional[MetricsRegistry] = None,
         lines.append(f"# HELP {name} {help_text}")
         lines.append(f"# TYPE {name} {kind}")
 
-    if metrics is not None:
-        snapshot = metrics.snapshot()
-        for name, value in snapshot["counters"].items():
-            prom = _prom_name(name, prefix) + "_total"
-            family(prom, "counter", f"repro counter {name}")
-            lines.append(f"{prom} {_prom_value(float(value))}")
-        for name, value in snapshot["gauges"].items():
-            if value is None:
-                continue
-            prom = _prom_name(name, prefix)
-            family(prom, "gauge", f"repro gauge {name}")
-            lines.append(f"{prom} {_prom_value(float(value))}")
-        for name, summary in snapshot["histograms"].items():
-            prom = _prom_name(name, prefix)
-            family(prom, "summary", f"repro histogram {name}")
-            for quantile in _SUMMARY_QUANTILES:
-                lines.append(
-                    f'{prom}{{quantile="{_quantile_label(quantile)}"}} '
-                    f'{_prom_value(float(summary[quantile]))}')
-            lines.append(f"{prom}_sum {_prom_value(float(summary['total']))}")
-            lines.append(f"{prom}_count {int(summary['count'])}")
-    if monitor is not None:
-        for gauge_name in GAUGE_NAMES:
-            prom = f"{prefix}_monitor_{gauge_name}"
-            family(prom, "gauge", f"cluster health gauge {gauge_name}")
-            for site in monitor.sites:
-                value = monitor.latest(site, gauge_name)
+    def scalar(name: str, kind: str, help_text: str, value: Any) -> None:
+        family(name, kind, help_text)
+        lines.append(f"{name} {value}")
+
+    def summary(prom: str, help_text: str, quantiles: Dict[str, Any]) -> None:
+        family(prom, "summary", help_text)
+        for quantile in _SUMMARY_QUANTILES:
+            lines.append(
+                f'{prom}{{quantile="{_quantile_label(quantile)}"}} '
+                f'{_prom_value(float(quantiles[quantile]))}')
+        lines.append(f"{prom}_sum {_prom_value(float(quantiles['total']))}")
+        lines.append(f"{prom}_count {int(quantiles['count'])}")
+
+    def gauges(sampler: GaugeSampler) -> None:
+        """One gauge family per series, each site's latest sample."""
+        for gauge_name in sampler.GAUGES:
+            prom = f"{prefix}_{sampler.FAMILY}_{gauge_name}"
+            family(prom, "gauge", f"{sampler.GAUGE_HELP} {gauge_name}")
+            for site in sampler.sites:
+                value = sampler.latest(site, gauge_name)
                 if value is None:
                     continue
                 label = _LABEL_RE.sub("_", site)
                 lines.append(f'{prom}{{site="{label}"}} '
                              f'{_prom_value(value)}')
-        prom = f"{prefix}_monitor_invariant_violations_total"
-        family(prom, "counter", "inline invariant checker failures")
-        lines.append(f"{prom} {monitor.violation_count}")
-        prom = f"{prefix}_monitor_samples_total"
-        family(prom, "counter", "health samples taken")
-        lines.append(f"{prom} {monitor.samples}")
+
+    if metrics is not None:
+        snapshot = metrics.snapshot()
+        for name, value in snapshot["counters"].items():
+            scalar(_prom_name(name, prefix) + "_total", "counter",
+                   f"repro counter {name}", _prom_value(float(value)))
+        for name, value in snapshot["gauges"].items():
+            if value is not None:
+                scalar(_prom_name(name, prefix), "gauge",
+                       f"repro gauge {name}", _prom_value(float(value)))
+        for name, quantiles in snapshot["histograms"].items():
+            summary(_prom_name(name, prefix), f"repro histogram {name}",
+                    quantiles)
+    if monitor is not None:
+        gauges(monitor)
+        scalar(f"{prefix}_monitor_invariant_violations_total", "counter",
+               "inline invariant checker failures", monitor.violation_count)
+        scalar(f"{prefix}_monitor_samples_total", "counter",
+               "health samples taken", monitor.samples)
         prom = f"{prefix}_monitor_pressure_events_total"
         family(prom, "counter",
                "ARQ reliability events (retries, timeouts, aborts, resumes)")
@@ -132,38 +140,20 @@ def to_prometheus(metrics: Optional[MetricsRegistry] = None,
                 lines.append(
                     f'{prom}{{site="{label}",kind="{event_kind}"}} {count}')
     if consistency is not None:
-        for gauge_name in CONSISTENCY_GAUGE_NAMES:
-            prom = f"{prefix}_consistency_{gauge_name}"
-            family(prom, "gauge", f"store consistency gauge {gauge_name}")
-            for site in consistency.sites:
-                value = consistency.latest(site, gauge_name)
-                if value is None:
-                    continue
-                label = _LABEL_RE.sub("_", site)
-                lines.append(f'{prom}{{site="{label}"}} '
-                             f'{_prom_value(value)}')
-        for hist_name, histogram, help_text in (
-                ("visibility_wk_seconds", consistency.w_k,
-                 "write visibility latency at k replicas"),
-                ("visibility_wall_seconds", consistency.w_all,
-                 "write visibility latency at all sites")):
-            prom = f"{prefix}_consistency_{hist_name}"
-            family(prom, "summary", help_text)
-            summary = histogram.summary()
-            for quantile in _SUMMARY_QUANTILES:
-                lines.append(
-                    f'{prom}{{quantile="{_quantile_label(quantile)}"}} '
-                    f'{_prom_value(float(summary[quantile]))}')
-            lines.append(f"{prom}_sum {_prom_value(float(summary['total']))}")
-            lines.append(f"{prom}_count {int(summary['count'])}")
+        gauges(consistency)
+        summary(f"{prefix}_consistency_visibility_wk_seconds",
+                "write visibility latency at k replicas",
+                consistency.w_k.summary())
+        summary(f"{prefix}_consistency_visibility_wall_seconds",
+                "write visibility latency at all sites",
+                consistency.w_all.summary())
         prom = f"{prefix}_consistency_violations_total"
-        family(prom, "counter", "session-guarantee audit violations")
-        lines.append(f"{prom} {consistency.violation_count}")
+        scalar(prom, "counter", "session-guarantee audit violations",
+               consistency.violation_count)
         for check, count in sorted(consistency.audit_counts().items()):
             lines.append(f'{prom}{{check="{check}"}} {count}')
-        prom = f"{prefix}_consistency_samples_total"
-        family(prom, "counter", "consistency samples taken")
-        lines.append(f"{prom} {consistency.samples}")
+        scalar(f"{prefix}_consistency_samples_total", "counter",
+               "consistency samples taken", consistency.samples)
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -221,19 +211,51 @@ def _build_spans(tracer: Tracer) -> List[Dict[str, Any]]:
     return [spans[span_id] for span_id in sorted(spans)]
 
 
-def _summary_point(summary: Dict[str, float]) -> Dict[str, Any]:
+def _summary_entry(name: str, summary: Dict[str, float]) -> Dict[str, Any]:
     return {
-        "count": str(int(summary["count"])),
-        "sum": float(summary["total"]),
-        "timeUnixNano": "0",
-        "quantileValues": [
-            {"quantile": 0.5, "value": float(summary["p50"])},
-            {"quantile": 0.9, "value": float(summary["p90"])},
-            {"quantile": 0.95, "value": float(summary["p95"])},
-            {"quantile": 0.99, "value": float(summary["p99"])},
-            {"quantile": 0.999, "value": float(summary["p999"])},
-        ],
+        "name": name,
+        "summary": {"dataPoints": [{
+            "count": str(int(summary["count"])),
+            "sum": float(summary["total"]),
+            "timeUnixNano": "0",
+            "quantileValues": [
+                {"quantile": float(_quantile_label(quantile)),
+                 "value": float(summary[quantile])}
+                for quantile in _SUMMARY_QUANTILES],
+        }]},
     }
+
+
+def _sum_entry(name: str, value: int) -> Dict[str, Any]:
+    return {
+        "name": name,
+        "sum": {
+            "aggregationTemporality": 2,  # CUMULATIVE
+            "isMonotonic": True,
+            "dataPoints": [{"asInt": str(value), "timeUnixNano": "0"}],
+        },
+    }
+
+
+def _gauge_entries(sampler: GaugeSampler,
+                   prefix: str) -> List[Dict[str, Any]]:
+    """One gauge per series of the family, one point per sample."""
+    entries: List[Dict[str, Any]] = []
+    for gauge_name in sampler.GAUGES:
+        points: List[Dict[str, Any]] = []
+        for site in sampler.sites:
+            site_attrs = _attrs({"site": site})
+            for time, value in sampler.series(site, gauge_name):
+                points.append({
+                    "asDouble": float(value),
+                    "timeUnixNano": str(_nanos(time)),
+                    "attributes": site_attrs,
+                })
+        entries.append({
+            "name": f"{prefix}.{sampler.FAMILY}.{gauge_name}",
+            "gauge": {"dataPoints": points},
+        })
+    return entries
 
 
 def _metric_entries(metrics: Optional[MetricsRegistry],
@@ -244,15 +266,7 @@ def _metric_entries(metrics: Optional[MetricsRegistry],
     if metrics is not None:
         snapshot = metrics.snapshot()
         for name, value in snapshot["counters"].items():
-            entries.append({
-                "name": f"{prefix}.{name}",
-                "sum": {
-                    "aggregationTemporality": 2,  # CUMULATIVE
-                    "isMonotonic": True,
-                    "dataPoints": [{"asInt": str(value),
-                                    "timeUnixNano": "0"}],
-                },
-            })
+            entries.append(_sum_entry(f"{prefix}.{name}", value))
         for name, value in snapshot["gauges"].items():
             if value is None:
                 continue
@@ -262,67 +276,21 @@ def _metric_entries(metrics: Optional[MetricsRegistry],
                                           "timeUnixNano": "0"}]},
             })
         for name, summary in snapshot["histograms"].items():
-            entries.append({
-                "name": f"{prefix}.{name}",
-                "summary": {"dataPoints": [_summary_point(summary)]},
-            })
+            entries.append(_summary_entry(f"{prefix}.{name}", summary))
     if monitor is not None:
-        for gauge_name in GAUGE_NAMES:
-            points: List[Dict[str, Any]] = []
-            for site in monitor.sites:
-                site_attrs = _attrs({"site": site})
-                for time, value in monitor.series(site, gauge_name):
-                    points.append({
-                        "asDouble": float(value),
-                        "timeUnixNano": str(_nanos(time)),
-                        "attributes": site_attrs,
-                    })
-            entries.append({
-                "name": f"{prefix}.monitor.{gauge_name}",
-                "gauge": {"dataPoints": points},
-            })
-        entries.append({
-            "name": f"{prefix}.monitor.invariant_violations",
-            "sum": {
-                "aggregationTemporality": 2,
-                "isMonotonic": True,
-                "dataPoints": [{"asInt": str(monitor.violation_count),
-                                "timeUnixNano": "0"}],
-            },
-        })
+        entries.extend(_gauge_entries(monitor, prefix))
+        entries.append(_sum_entry(f"{prefix}.monitor.invariant_violations",
+                                  monitor.violation_count))
     if consistency is not None:
-        for gauge_name in CONSISTENCY_GAUGE_NAMES:
-            points: List[Dict[str, Any]] = []
-            for site in consistency.sites:
-                site_attrs = _attrs({"site": site})
-                for time, value in consistency.series(site, gauge_name):
-                    points.append({
-                        "asDouble": float(value),
-                        "timeUnixNano": str(_nanos(time)),
-                        "attributes": site_attrs,
-                    })
-            entries.append({
-                "name": f"{prefix}.consistency.{gauge_name}",
-                "gauge": {"dataPoints": points},
-            })
-        for hist_name, histogram in (
-                ("visibility_wk_seconds", consistency.w_k),
-                ("visibility_wall_seconds", consistency.w_all)):
-            entries.append({
-                "name": f"{prefix}.consistency.{hist_name}",
-                "summary": {
-                    "dataPoints": [_summary_point(histogram.summary())]},
-            })
-        entries.append({
-            "name": f"{prefix}.consistency.violations",
-            "sum": {
-                "aggregationTemporality": 2,
-                "isMonotonic": True,
-                "dataPoints": [
-                    {"asInt": str(consistency.violation_count),
-                     "timeUnixNano": "0"}],
-            },
-        })
+        entries.extend(_gauge_entries(consistency, prefix))
+        entries.append(_summary_entry(
+            f"{prefix}.consistency.visibility_wk_seconds",
+            consistency.w_k.summary()))
+        entries.append(_summary_entry(
+            f"{prefix}.consistency.visibility_wall_seconds",
+            consistency.w_all.summary()))
+        entries.append(_sum_entry(f"{prefix}.consistency.violations",
+                                  consistency.violation_count))
     return entries
 
 
@@ -358,3 +326,51 @@ def to_otlp(tracer: Optional[Tracer] = None,
             }],
         }],
     }
+
+
+# -- writing export files ----------------------------------------------------------
+
+
+def report_invalid(what: str, errors: List[str]) -> bool:
+    """Print a document's schema violations; True when there were any."""
+    if errors:
+        print(f"{what} failed schema validation ({len(errors)} errors):")
+        for error in errors[:10]:
+            print(f"  {error}")
+    return bool(errors)
+
+
+def write_exports(*, tracer: Optional[Tracer],
+                  metrics: Optional[MetricsRegistry],
+                  monitor: Optional[ClusterMonitor] = None,
+                  consistency: Optional[ConsistencyMonitor] = None,
+                  prom: Optional[str] = None, otlp: Optional[str] = None,
+                  html: Optional[str] = None,
+                  render_html: Optional[Callable[[], str]] = None,
+                  service_name: str = "repro") -> bool:
+    """Write the requested Prometheus, OTLP and HTML files, in that order.
+
+    The one export path of ``repro monitor`` and ``repro store``.  The
+    OTLP document is validated before it is written; an invalid one is
+    reported, stops the export, and returns False.  ``render_html``
+    renders the HTML page when ``html`` names a path.
+    """
+    if prom is not None:
+        with open(prom, "w", encoding="utf-8") as handle:
+            handle.write(to_prometheus(metrics, monitor,
+                                       consistency=consistency))
+        print(f"wrote Prometheus dump to {prom}")
+    if otlp is not None:
+        document = to_otlp(tracer, metrics, monitor, consistency=consistency,
+                           service_name=service_name)
+        if report_invalid("OTLP export", validate_otlp(document)):
+            return False
+        with open(otlp, "w", encoding="utf-8") as handle:
+            json.dump(document, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"wrote OTLP JSON to {otlp} (schema-valid)")
+    if html is not None:
+        with open(html, "w", encoding="utf-8") as handle:
+            handle.write(render_html())
+        print(f"wrote HTML report to {html}")
+    return True

@@ -3,10 +3,9 @@
 Third-party schema validators are a dependency this repo does not take,
 so :func:`validate` implements the small JSON-Schema subset the document
 needs — ``type``, ``required``, ``properties``, ``items``, ``enum``,
-``minimum``, ``pattern`` — and :data:`OTLP_SCHEMA` is the embedded source
-of truth.  ``schemas/repro.obs.otlp.schema.json`` at the repository root
-is the same schema checked in for external tooling (CI validates exports
-against the file; a unit test pins file == dict so they cannot drift).
+``minimum``, ``pattern``.  Every schema exists once, as a JSON file under
+``src/repro/schemas/`` shipped as package data; :func:`load_schema`
+reads it, and :data:`OTLP_SCHEMA` is ``repro.obs.otlp.schema.json``.
 
 ``python -m repro otlp-validate <export.json>`` runs the validation from
 the command line and exits non-zero on the first violation.
@@ -14,264 +13,22 @@ the command line and exits non-zero on the first violation.
 
 from __future__ import annotations
 
+import importlib.resources
 import json
 import re
 from typing import Any, Dict, List
 
 from repro.errors import ReproError
 
-#: Matches OTLP's stringified unsigned integers ("0", "12500000000").
-_UINT_PATTERN = r"^[0-9]+$"
 
-_ATTRIBUTES = {
-    "type": "array",
-    "items": {
-        "type": "object",
-        "required": ["key", "value"],
-        "properties": {
-            "key": {"type": "string"},
-            "value": {"type": "object"},
-        },
-    },
-}
+def load_schema(name: str) -> Dict[str, Any]:
+    """One checked-in schema, read from the package's ``schemas/`` data."""
+    resource = importlib.resources.files("repro") / "schemas" / name
+    return json.loads(resource.read_text(encoding="utf-8"))
 
-_NUMBER_POINT = {
-    "type": "object",
-    "required": ["timeUnixNano"],
-    "properties": {
-        "timeUnixNano": {"type": "string", "pattern": _UINT_PATTERN},
-        "asDouble": {"type": "number"},
-        "asInt": {"type": "string", "pattern": _UINT_PATTERN},
-        "attributes": _ATTRIBUTES,
-    },
-}
 
 #: The OTLP-style export document produced by :func:`repro.obs.exporters.to_otlp`.
-OTLP_SCHEMA: Dict[str, Any] = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "$id": "repro.obs.otlp.schema.json",
-    "title": "repro OTLP-style export",
-    "type": "object",
-    "required": ["resourceSpans", "resourceMetrics"],
-    "properties": {
-        "resourceSpans": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["resource", "scopeSpans"],
-                "properties": {
-                    "resource": {
-                        "type": "object",
-                        "required": ["attributes"],
-                        "properties": {"attributes": _ATTRIBUTES},
-                    },
-                    "scopeSpans": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["scope", "spans"],
-                            "properties": {
-                                "scope": {
-                                    "type": "object",
-                                    "required": ["name"],
-                                    "properties": {
-                                        "name": {"type": "string"},
-                                        "version": {"type": "string"},
-                                    },
-                                },
-                                "spans": {
-                                    "type": "array",
-                                    "items": {
-                                        "type": "object",
-                                        "required": [
-                                            "traceId", "spanId", "name",
-                                            "kind", "startTimeUnixNano",
-                                            "endTimeUnixNano",
-                                        ],
-                                        "properties": {
-                                            "traceId": {
-                                                "type": "string",
-                                                "pattern":
-                                                    "^[0-9a-f]{32}$",
-                                            },
-                                            "spanId": {
-                                                "type": "string",
-                                                "pattern":
-                                                    "^[0-9a-f]{16}$",
-                                            },
-                                            "name": {"type": "string"},
-                                            "kind": {"enum": [1, 2, 3, 4, 5]},
-                                            "startTimeUnixNano": {
-                                                "type": "string",
-                                                "pattern": _UINT_PATTERN,
-                                            },
-                                            "endTimeUnixNano": {
-                                                "type": "string",
-                                                "pattern": _UINT_PATTERN,
-                                            },
-                                            "attributes": _ATTRIBUTES,
-                                            "events": {
-                                                "type": "array",
-                                                "items": {
-                                                    "type": "object",
-                                                    "required": [
-                                                        "name",
-                                                        "timeUnixNano",
-                                                    ],
-                                                    "properties": {
-                                                        "name": {
-                                                            "type": "string",
-                                                        },
-                                                        "timeUnixNano": {
-                                                            "type": "string",
-                                                            "pattern":
-                                                                _UINT_PATTERN,
-                                                        },
-                                                        "attributes":
-                                                            _ATTRIBUTES,
-                                                    },
-                                                },
-                                            },
-                                        },
-                                    },
-                                },
-                            },
-                        },
-                    },
-                },
-            },
-        },
-        "resourceMetrics": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["resource", "scopeMetrics"],
-                "properties": {
-                    "resource": {
-                        "type": "object",
-                        "required": ["attributes"],
-                        "properties": {"attributes": _ATTRIBUTES},
-                    },
-                    "scopeMetrics": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["scope", "metrics"],
-                            "properties": {
-                                "scope": {
-                                    "type": "object",
-                                    "required": ["name"],
-                                    "properties": {
-                                        "name": {"type": "string"},
-                                        "version": {"type": "string"},
-                                    },
-                                },
-                                "metrics": {
-                                    "type": "array",
-                                    "items": {
-                                        "type": "object",
-                                        "required": ["name"],
-                                        "properties": {
-                                            "name": {"type": "string"},
-                                            "gauge": {
-                                                "type": "object",
-                                                "required": ["dataPoints"],
-                                                "properties": {
-                                                    "dataPoints": {
-                                                        "type": "array",
-                                                        "items":
-                                                            _NUMBER_POINT,
-                                                    },
-                                                },
-                                            },
-                                            "sum": {
-                                                "type": "object",
-                                                "required": [
-                                                    "dataPoints",
-                                                    "aggregationTemporality",
-                                                    "isMonotonic",
-                                                ],
-                                                "properties": {
-                                                    "aggregationTemporality":
-                                                        {"enum": [1, 2]},
-                                                    "isMonotonic": {
-                                                        "type": "boolean",
-                                                    },
-                                                    "dataPoints": {
-                                                        "type": "array",
-                                                        "items":
-                                                            _NUMBER_POINT,
-                                                    },
-                                                },
-                                            },
-                                            "summary": {
-                                                "type": "object",
-                                                "required": ["dataPoints"],
-                                                "properties": {
-                                                    "dataPoints": {
-                                                        "type": "array",
-                                                        "items": {
-                                                            "type": "object",
-                                                            "required": [
-                                                                "count",
-                                                                "sum",
-                                                                "timeUnixNano",
-                                                                "quantileValues",
-                                                            ],
-                                                            "properties": {
-                                                                "count": {
-                                                                    "type":
-                                                                        "string",
-                                                                    "pattern":
-                                                                        _UINT_PATTERN,
-                                                                },
-                                                                "sum": {
-                                                                    "type":
-                                                                        "number",
-                                                                },
-                                                                "timeUnixNano": {
-                                                                    "type":
-                                                                        "string",
-                                                                    "pattern":
-                                                                        _UINT_PATTERN,
-                                                                },
-                                                                "quantileValues": {
-                                                                    "type":
-                                                                        "array",
-                                                                    "items": {
-                                                                        "type":
-                                                                            "object",
-                                                                        "required": [
-                                                                            "quantile",
-                                                                            "value",
-                                                                        ],
-                                                                        "properties": {
-                                                                            "quantile": {
-                                                                                "type": "number",
-                                                                                "minimum": 0,
-                                                                            },
-                                                                            "value": {
-                                                                                "type": "number",
-                                                                            },
-                                                                        },
-                                                                    },
-                                                                },
-                                                            },
-                                                        },
-                                                    },
-                                                },
-                                            },
-                                        },
-                                    },
-                                },
-                            },
-                        },
-                    },
-                },
-            },
-        },
-    },
-}
+OTLP_SCHEMA: Dict[str, Any] = load_schema("repro.obs.otlp.schema.json")
 
 _TYPE_CHECKS = {
     "object": lambda v: isinstance(v, dict),
@@ -345,7 +102,7 @@ def schema_main(argv: Any = None) -> int:
     parser.add_argument("path", help="export document to validate")
     parser.add_argument("--schema", default=None,
                         help="validate against this schema file instead of "
-                             "the embedded schema")
+                             "the packaged OTLP schema")
     args = parser.parse_args(argv)
     with open(args.path, "r", encoding="utf-8") as handle:
         document = json.load(handle)

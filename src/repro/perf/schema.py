@@ -58,7 +58,7 @@ Document layout (version ``repro.bench.cluster/1``)::
           },
           # Monitored store runs additionally embed the consistency
           # observatory digest, validated against its own schema
-          # (repro.obs.consistency/1 — see schemas/ for the JSON copy):
+          # (repro.obs.consistency/1, src/repro/schemas/):
           "consistency": {
             "schema": "repro.obs.consistency/1",
             "w_k_seconds": {...}, "w_all_seconds": {...},

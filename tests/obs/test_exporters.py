@@ -1,7 +1,6 @@
 """Tests for the Prometheus/OTLP exporters, schema validator, dashboard."""
 
 import json
-import pathlib
 
 from repro.net.channel import ChannelSpec
 from repro.net.cluster import ClusterConfig, ClusterRunner
@@ -10,9 +9,8 @@ from repro.obs.consistency import ConsistencyConfig, ConsistencyMonitor
 from repro.obs.dashboard import (render_consistency_dashboard,
                                  render_consistency_html_report,
                                  render_dashboard, render_html_report,
-                                 sparkline, write_consistency_html_report,
-                                 write_html_report)
-from repro.obs.exporters import to_otlp, to_prometheus
+                                 sparkline)
+from repro.obs.exporters import to_otlp, to_prometheus, write_exports
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import ClusterMonitor, MonitorConfig
 from repro.obs.otlp_schema import OTLP_SCHEMA, validate, validate_otlp
@@ -21,7 +19,6 @@ from repro.workload.cluster import (gossip_schedule, site_names,
                                     update_schedule)
 from repro.workload.clients import StoreWorkloadConfig, run_store_workload
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 ENC = Encoding(site_bits=8, value_bits=16)
 
 
@@ -214,11 +211,6 @@ class TestSchemaValidator:
         errors = validate_otlp(document)
         assert any("traceId" in e for e in errors)
 
-    def test_checked_in_schema_file_matches_embedded(self):
-        path = REPO_ROOT / "schemas" / "repro.obs.otlp.schema.json"
-        with open(path, "r", encoding="utf-8") as handle:
-            assert json.load(handle) == OTLP_SCHEMA
-
 
 class TestSparkline:
     def test_empty_is_blank(self):
@@ -255,7 +247,9 @@ class TestDashboard:
         # Self-contained: no external fetches of any kind.
         assert "http://" not in html and "https://" not in html
         path = tmp_path / "report.html"
-        write_html_report(path, {"srv": monitor})
+        assert write_exports(tracer=None, metrics=None, html=str(path),
+                             render_html=lambda: render_html_report(
+                                 {"srv": monitor}))
         assert path.read_text(encoding="utf-8") == html
 
 
@@ -277,5 +271,8 @@ class TestConsistencyDashboard:
         assert "store:srv" in html
         assert "http://" not in html and "https://" not in html
         path = tmp_path / "consistency.html"
-        write_consistency_html_report(path, {"store:srv": monitor})
+        assert write_exports(
+            tracer=None, metrics=None, html=str(path),
+            render_html=lambda: render_consistency_html_report(
+                {"store:srv": monitor}))
         assert path.read_text(encoding="utf-8") == html

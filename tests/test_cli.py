@@ -181,8 +181,8 @@ class TestAnalyzeCommand:
         assert document["schema"] == "repro.obs.causal/1"
         assert document["converged"] is True
         # The checked-in schema file validates it via otlp-validate.
-        schema = (pathlib.Path(__file__).resolve().parents[1]
-                  / "schemas" / "repro.obs.causal.schema.json")
+        schema = (pathlib.Path(__file__).resolve().parents[1] / "src"
+                  / "repro" / "schemas" / "repro.obs.causal.schema.json")
         assert main(["otlp-validate", str(out_path),
                      "--schema", str(schema)]) == 0
         assert "OK" in capsys.readouterr().out
@@ -261,8 +261,8 @@ class TestOtlpValidateCommand:
         document = {"resourceSpans": [], "resourceMetrics": []}
         path = tmp_path / "empty.json"
         path.write_text(json.dumps(document))
-        schema = (pathlib.Path(__file__).resolve().parents[1]
-                  / "schemas" / "repro.obs.otlp.schema.json")
+        schema = (pathlib.Path(__file__).resolve().parents[1] / "src"
+                  / "repro" / "schemas" / "repro.obs.otlp.schema.json")
         assert main(["otlp-validate", str(path),
                      "--schema", str(schema)]) == 0
         assert "OK" in capsys.readouterr().out
