@@ -270,30 +270,27 @@ class ConsistencyMonitor(GaugeSampler):
         counts the elements it is behind, summed over keys.
         """
         stores = self._target.stores
-        keys: Set[str] = set()
-        for store in stores.values():
-            keys.update(store.table)
-        ordered_keys = sorted(keys)
+        # Walk each (site, key) vector once: the frontier and the
+        # distance both read the same snapshot.
+        known: Dict[str, Dict[str, Dict[str, int]]] = {
+            site: {key: dict(record.vector.elements())
+                   for key, record in store.table.items()}
+            for site, store in stores.items()}
         frontiers: Dict[str, Dict[str, int]] = {}
-        for key in ordered_keys:
-            frontier: Dict[str, int] = {}
-            for store in stores.values():
-                record = store.table.get(key)
-                if record is None:
-                    continue
-                for elem_site, count in record.vector.elements():
+        for site_known in known.values():
+            for key, elements in site_known.items():
+                frontier = frontiers.setdefault(key, {})
+                for elem_site, count in elements.items():
                     if count > frontier.get(elem_site, 0):
                         frontier[elem_site] = count
-            frontiers[key] = frontier
         for site in self.sites:
             store = stores[site]
+            site_known = known[site]
             distance = 0
-            for key in ordered_keys:
-                record = store.table.get(key)
-                known = (dict(record.vector.elements())
-                         if record is not None else {})
-                for elem_site, peak in frontiers[key].items():
-                    if peak > known.get(elem_site, 0):
+            for key, frontier in frontiers.items():
+                elements = site_known.get(key, {})
+                for elem_site, peak in frontier.items():
+                    if peak > elements.get(elem_site, 0):
                         distance += 1
             yield site, (float(store.sibling_population()), float(distance),
                          now - self._last_absorb[site],

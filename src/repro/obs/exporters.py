@@ -40,13 +40,6 @@ _LABEL_RE = re.compile(r"[^a-zA-Z0-9_]")
 #: Quantiles a histogram summary exports, in label order.
 _SUMMARY_QUANTILES = ("p50", "p90", "p95", "p99", "p999")
 
-#: Trace kinds worth re-publishing as OTLP span events (the reliability
-#: and correctness signals; routine wire chatter stays out of the export).
-_SPAN_EVENT_KINDS = frozenset({
-    obs.FAULT, obs.RETRY, obs.TIMEOUT, obs.SESSION_ABORT,
-    obs.INVARIANT_VIOLATION, obs.CONSISTENCY_VIOLATION,
-})
-
 
 def _quantile_label(quantile: str) -> str:
     # "p50" -> "0.50"-style labels: insert the decimal point after the
@@ -199,7 +192,8 @@ def _build_spans(tracer: Tracer) -> List[Dict[str, Any]]:
             span = spans.get(event.span_id)
             if span is not None:
                 span["endTimeUnixNano"] = str(_nanos(event.time))
-        elif event.kind in _SPAN_EVENT_KINDS and event.span_id in spans:
+        elif event.kind in obs.EXPORTED_KINDS and event.span_id in spans:
+            # Every other exported kind re-publishes as a span event.
             attrs = dict(event.fields)
             if event.party is not None:
                 attrs["party"] = event.party

@@ -122,15 +122,24 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         """The counter named ``name``, created on first use."""
-        return self.counters.setdefault(name, Counter())
+        instrument = self.counters.get(name)
+        if instrument is None:
+            instrument = self.counters[name] = Counter()
+        return instrument
 
     def gauge(self, name: str) -> Gauge:
         """The gauge named ``name``, created on first use."""
-        return self.gauges.setdefault(name, Gauge())
+        instrument = self.gauges.get(name)
+        if instrument is None:
+            instrument = self.gauges[name] = Gauge()
+        return instrument
 
     def histogram(self, name: str) -> Histogram:
         """The histogram named ``name``, created on first use."""
-        return self.histograms.setdefault(name, Histogram())
+        instrument = self.histograms.get(name)
+        if instrument is None:
+            instrument = self.histograms[name] = Histogram()
+        return instrument
 
     def snapshot(self) -> Dict[str, Any]:
         """A plain-dict view safe to serialize or embed in a report."""

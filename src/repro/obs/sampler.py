@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import InvariantViolationError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceEvent, Tracer
+from repro.obs.trace import EXPORTED_KINDS, TraceEvent, Tracer
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,10 @@ class GaugeSampler:
         self.config = config
         self.metrics = metrics
         #: The private tracer; a run constructed without a tracer adopts
-        #: it so events exist to observe.
-        self.tracer = Tracer()
+        #: it so events exist to observe.  It delivers every event to
+        #: subscribers but keeps only the kinds the exports read; pass
+        #: the run a full :class:`Tracer` to record everything.
+        self.tracer = Tracer(keep=EXPORTED_KINDS)
         self.violations: List[InvariantViolation] = []
         self.samples = 0
         self.sites: List[str] = []

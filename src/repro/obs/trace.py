@@ -41,6 +41,10 @@ Each flushed session emits one synthetic ``sampling`` event recording
 ``seen``/``kept``, which the causal analyzer turns into coverage
 fractions.  ``sampling=None`` (the default) leaves every code path
 exactly as it was.
+
+A ``keep`` set narrows retention to the named kinds, again without
+touching delivery: a monitor's private tracer keeps only
+:data:`EXPORTED_KINDS`, the kinds its exports read.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import bisect
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, FrozenSet, List, Optional
 
 # -- event kinds ------------------------------------------------------------------
 
@@ -115,6 +119,15 @@ READ_REPAIR = "read_repair"
 #: :mod:`repro.obs.consistency`).
 CONSISTENCY_VIOLATION = "consistency_violation"
 
+#: The kinds the OTLP span export reads: span boundaries plus the
+#: reliability and correctness signals it nests as span events (routine
+#: wire chatter stays out of the export).  A monitor's private tracer
+#: retains exactly these.
+EXPORTED_KINDS = frozenset({
+    SPAN_START, SPAN_END, FAULT, RETRY, TIMEOUT, SESSION_ABORT,
+    INVARIANT_VIOLATION, CONSISTENCY_VIOLATION,
+})
+
 #: High-volume kinds a :class:`SamplingPolicy` may decline to retain.
 #: Everything else — lifecycle, incidents, accounting — is always kept.
 DROPPABLE_KINDS = frozenset({
@@ -171,7 +184,7 @@ class _SessionSampler:
         self.ring: Deque["TraceEvent"] = deque(maxlen=tail)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     """One structured trace record.
 
@@ -232,17 +245,21 @@ class Tracer:
     pass an explicit ``time=``.
 
     ``sampling`` bounds retention of high-volume kinds (see
-    :class:`SamplingPolicy`); ``strict_subscribers`` re-raises subscriber
-    exceptions instead of merely counting them in ``subscriber_errors``
-    (wired to ``--strict-invariants`` by the monitor CLI); ``metrics``
+    :class:`SamplingPolicy`); ``keep``, when set, retains only events of
+    those kinds (a monitor's private tracer keeps :data:`EXPORTED_KINDS`);
+    ``strict_subscribers`` re-raises subscriber exceptions instead of
+    merely counting them in ``subscriber_errors`` (wired to
+    ``--strict-invariants`` by the monitor CLI); ``metrics``
     optionally mirrors that count into a
     ``tracer.subscriber_errors`` counter.
     """
 
     def __init__(self, *, sampling: Optional[SamplingPolicy] = None,
+                 keep: Optional[FrozenSet[str]] = None,
                  strict_subscribers: bool = False,
                  metrics: Optional[Any] = None) -> None:
         self.events: List[TraceEvent] = []
+        self.keep = keep
         self._seq = 0
         self._next_span = 0
         self._stack: List[int] = []
@@ -262,8 +279,9 @@ class Tracer:
         """Call ``callback(event)`` for every event recorded from now on.
 
         Subscribers see events live, in emission order — and *unsampled*:
-        a retention policy only limits what ``events`` keeps, never what
-        a live :class:`~repro.obs.monitor.ClusterMonitor` observes.  A
+        a retention policy or ``keep`` set only limits what ``events``
+        keeps, never what a live :class:`~repro.obs.monitor.ClusterMonitor`
+        observes.  A
         callback must not mutate the event; it may emit further events
         (re-entrant emission is ordered after the event being delivered).
         A callback that raises does not abort the run or starve later
@@ -308,10 +326,11 @@ class Tracer:
                             party=party, message=message, bits=bits,
                             fields=fields)
         self._seq += 1
-        if self.sampling is None:
-            self.events.append(record)
-        else:
-            self._consider(record)
+        if self.keep is None or kind in self.keep:
+            if self.sampling is None:
+                self.events.append(record)
+            else:
+                self._consider(record)
         self._notify(record)
         return record
 

@@ -13,7 +13,9 @@ checks by diffing them.
 percentiles, per-site replication-lag gauges, and the session-guarantee
 audit summary, and the export flags write the gauge families out through
 the standard exporters (``--prom``/``--otlp``/``--html``) plus the
-schema-validated digest itself (``--consistency``).
+schema-validated digest itself (``--consistency``).  ``--trace`` runs
+the fleet with a full tracer and writes every event as JSONL; without
+it the monitor's private tracer keeps only what the exports read.
 
 Usage::
 
@@ -197,6 +199,10 @@ def store_main(argv: List[str]) -> int:
         except ValueError as error:
             return fail(str(error))
         monitor = ConsistencyMonitor(monitor_config)
+    tracer = None
+    if exports["--trace"] is not None:
+        from repro.obs.trace import Tracer
+        tracer = Tracer()
 
     base = DEMO_CONFIG if demo else StoreWorkloadConfig()
     try:
@@ -204,7 +210,7 @@ def store_main(argv: List[str]) -> int:
             **{**{name: getattr(base, name)
                   for name in StoreWorkloadConfig.__dataclass_fields__},
                **overrides})
-        result = run_store_workload(config, monitor=monitor)
+        result = run_store_workload(config, monitor=monitor, tracer=tracer)
     except InvariantViolationError as error:
         print(f"ABORTED: {error}")
         return 1
@@ -212,18 +218,21 @@ def store_main(argv: List[str]) -> int:
         print(f"store workload failed: {error}")
         return 2
     print(format_store_report(result))
-    if monitor is not None and not _write_exports(result, monitor, exports):
+    if monitor is not None and not _write_exports(
+            result, monitor, exports,
+            tracer if tracer is not None else monitor.tracer):
         return 1
     return 0 if result.converged else 1
 
 
-def _write_exports(result, monitor, exports: dict) -> bool:
-    """Write the requested export files; False on a validation failure."""
+def _write_exports(result, monitor, exports: dict, tracer) -> bool:
+    """Write the requested export files from the run's ``tracer``;
+    False on a validation failure."""
     from repro.obs.dashboard import render_consistency_html_report
     from repro.obs.exporters import report_invalid, write_exports
     label = f"store:{result.config.protocol}"
     if not write_exports(
-            tracer=monitor.tracer, metrics=result.metrics,
+            tracer=tracer, metrics=result.metrics,
             consistency=monitor, prom=exports["--prom"],
             otlp=exports["--otlp"], html=exports["--html"],
             render_html=lambda: render_consistency_html_report(
@@ -241,7 +250,7 @@ def _write_exports(result, monitor, exports: dict) -> bool:
         print(f"wrote consistency digest to {exports['--consistency']}")
     if exports["--trace"] is not None:
         from repro.obs.export import write_jsonl
-        count = write_jsonl(monitor.tracer.events, exports["--trace"])
+        count = write_jsonl(tracer.events, exports["--trace"])
         print(f"wrote {count} trace events to {exports['--trace']} "
               f"(render with: python -m repro trace {exports['--trace']} "
               f"--filter put,get,delete,read_repair,consistency_violation)")

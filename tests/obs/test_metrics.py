@@ -89,6 +89,31 @@ class TestRegistry:
         assert registry.gauge("g") is registry.gauge("g")
         assert registry.histogram("h") is registry.histogram("h")
 
+    @pytest.mark.parametrize("accessor, instrument",
+                             [("counter", "Counter"), ("gauge", "Gauge"),
+                              ("histogram", "Histogram")])
+    def test_lookup_of_existing_name_builds_nothing(self, monkeypatch,
+                                                    accessor, instrument):
+        # Hot paths look instruments up per event; a lookup must not
+        # construct (and discard) a fresh instrument each time.
+        import repro.obs.metrics as metrics_module
+        built = []
+        base = getattr(metrics_module, instrument)
+
+        class Counting(base):
+            __slots__ = ()
+
+            def __init__(self) -> None:
+                built.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(metrics_module, instrument, Counting)
+        registry = MetricsRegistry()
+        lookup = getattr(registry, accessor)
+        first = lookup("x")
+        assert lookup("x") is first
+        assert len(built) == 1
+
     def test_snapshot_is_plain_and_sorted(self):
         registry = MetricsRegistry()
         registry.counter("b").inc(2)

@@ -92,7 +92,11 @@ class TestMonitorFlag:
         assert '"resourceMetrics"' in otlp.read_text()
         assert html.read_text().startswith("<!DOCTYPE html>")
         assert '"schema": "repro.obs.consistency/1"' in digest.read_text()
-        assert '"kind": "store_op"' in trace.read_text()
+        # --trace records the full stream, not the monitor's exported
+        # subset: wire messages are in it.
+        events = trace.read_text()
+        assert '"kind": "store_op"' in events
+        assert '"kind": "message"' in events
 
     def test_consistency_export_validates_against_the_schema(
             self, tmp_path):
