@@ -14,18 +14,20 @@ The demos are the scripts in ``examples/`` packaged behind one command so
 an installed distribution can show itself without the source tree.  The
 ``trace`` subcommand attaches a :class:`repro.obs.Tracer` to the chosen
 demo and prints the structured timeline afterwards (optionally exporting
-the raw events as JSON lines).  The ``bench`` subcommand runs the
-cluster-scale performance harness (:mod:`repro.perf.bench`) and writes
-``BENCH_cluster.json``; it owns its own flag set (``--sites``,
-``--protocols``, ``--rounds``, ``--seed``, ``--workers``, ``--profile``,
-``--profile-out``, ``--out``).
+the raw events as JSON lines).  The subcommands in :data:`SUBCOMMANDS`
+own their flag sets; ``python -m repro <subcommand> --help`` lists them
+— ``repro bench --help`` for the cluster-scale performance harness
+(:mod:`repro.perf.bench`) that writes ``BENCH_cluster.json``.
 """
 
 from __future__ import annotations
 
+import argparse
+import importlib
 import sys
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
+from repro.cliargs import parse_args
 from repro.obs import Tracer, render_timeline, write_jsonl
 
 #: Default seed of the randomized demos; ``--seed N`` overrides it.
@@ -209,27 +211,41 @@ DEMOS: Dict[str, Callable[..., None]] = {
 }
 
 
-def _usage() -> None:
-    print("usage: python -m repro [--seed N] <demo>|all\n"
-          "       python -m repro [--seed N] trace <demo>|<trace.jsonl> "
-          "[--stats] [--jsonl PATH] [--filter kind,...]\n"
-          "       python -m repro bench [--sites 8,32,128] [--workers N] "
-          "[--profile] [--out BENCH_cluster.json]\n"
-          "       python -m repro store [--demo] [--sites N] [--ops N] "
-          "[--loss F] [--seed N] [--monitor] [--strict-consistency] "
-          "[--prom PATH] [--otlp PATH] [--html PATH] [--consistency PATH] "
-          "[--trace PATH]\n"
-          "       python -m repro monitor [--protocols brv,crv,srv] "
-          "[--loss 0.1] [--strict-invariants] [--html report.html]\n"
-          "       python -m repro analyze <trace.jsonl>|--fleet "
-          "[--critical-path] [--attribute] [--waterfall] [--json PATH]\n"
-          "       python -m repro history BENCH1.json BENCH2.json ... "
-          "[--gate]\n"
-          "       python -m repro otlp-validate <export.json> "
-          "[--schema schema.json]\n\n"
-          "demos:")
-    for name, fn in DEMOS.items():
-        print(f"  {name:12} {fn.__doc__.splitlines()[0]}")
+#: Subcommands that own their flag set: name → (module, entry point).
+SUBCOMMANDS: Dict[str, Tuple[str, str]] = {
+    "bench": ("repro.perf.bench", "bench_main"),
+    "store": ("repro.store.cli", "store_main"),
+    "monitor": ("repro.obs.cli", "monitor_main"),
+    "analyze": ("repro.obs.cli", "analyze_main"),
+    "history": ("repro.perf.history", "history_main"),
+    "otlp-validate": ("repro.obs.otlp_schema", "schema_main"),
+}
+
+
+def _parser() -> argparse.ArgumentParser:
+    demos = "\n".join(f"  {name:12} {fn.__doc__.splitlines()[0]}"
+                      for name, fn in DEMOS.items())
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        usage="%(prog)s [--seed N] <demo>|all\n"
+              "       %(prog)s [--seed N] trace <demo>|<trace.jsonl> "
+              "[--stats] [--jsonl PATH] [--filter kind,...]\n"
+              "       %(prog)s <subcommand> [--help]",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog=f"subcommands: {', '.join(SUBCOMMANDS)}\n\ndemos:\n{demos}")
+    parser.add_argument("positional", nargs="*", help=argparse.SUPPRESS)
+    parser.add_argument("--seed", type=int, metavar="N",
+                        help="reseed the randomized demos")
+    parser.add_argument("--stats", action="store_true",
+                        help="trace: per-kind statistics, not the timeline")
+    parser.add_argument("--jsonl", metavar="PATH",
+                        help="trace: also export the events as JSON lines")
+    parser.add_argument("--filter", dest="kinds", metavar="kind,...",
+                        type=lambda text: [part.strip()
+                                           for part in text.split(",")
+                                           if part.strip()],
+                        help="trace: render only these event kinds")
+    return parser
 
 
 def _run_traced(name: str, *, seed: Optional[int], jsonl: Optional[str],
@@ -274,80 +290,38 @@ def _trace_file(path: str, *, stats: bool,
 def main(argv: list[str] | None = None) -> int:
     """Dispatch ``python -m repro <demo>``; returns an exit code."""
     arguments = list(sys.argv[1:] if argv is None else argv)
-    if arguments and arguments[0] == "bench":
-        # The bench harness owns its flag set; hand the raw tail over
-        # before the demo-oriented parsing below can reject it.
-        from repro.perf.bench import bench_main
-        return bench_main(arguments[1:])
-    if arguments and arguments[0] == "store":
-        from repro.store.cli import store_main
-        return store_main(arguments[1:])
-    if arguments and arguments[0] == "monitor":
-        from repro.obs.cli import monitor_main
-        return monitor_main(arguments[1:])
-    if arguments and arguments[0] == "otlp-validate":
-        from repro.obs.otlp_schema import schema_main
-        return schema_main(arguments[1:])
-    if arguments and arguments[0] == "analyze":
-        from repro.obs.cli import analyze_main
-        return analyze_main(arguments[1:])
-    if arguments and arguments[0] == "history":
-        from repro.perf.history import history_main
-        return history_main(arguments[1:])
-    seed: Optional[int] = None
-    jsonl: Optional[str] = None
-    kinds: Optional[list[str]] = None
-    stats = False
-    positional: list[str] = []
-    index = 0
-    while index < len(arguments):
-        argument = arguments[index]
-        if argument == "--stats":
-            stats = True
-            index += 1
-        elif argument in ("--seed", "--jsonl", "--filter"):
-            if index + 1 >= len(arguments):
-                print(f"{argument} requires a value")
-                return 2
-            if argument == "--seed":
-                try:
-                    seed = int(arguments[index + 1])
-                except ValueError:
-                    print(f"--seed expects an integer, "
-                          f"got {arguments[index + 1]!r}")
-                    return 2
-            elif argument == "--filter":
-                kinds = [part.strip()
-                         for part in arguments[index + 1].split(",")
-                         if part.strip()]
-            else:
-                jsonl = arguments[index + 1]
-            index += 2
-        else:
-            positional.append(argument)
-            index += 1
+    if arguments and arguments[0] in SUBCOMMANDS:
+        # A subcommand owns its flag set; hand the raw tail over before
+        # the demo parser below can reject it.
+        module, entry = SUBCOMMANDS[arguments[0]]
+        return getattr(importlib.import_module(module), entry)(arguments[1:])
+    parser = _parser()
+    args = parse_args(parser, arguments)
+    if isinstance(args, int):
+        return args
+    positional = args.positional
     if not positional:
-        _usage()
+        parser.print_help()
         return 1
     if positional[0] == "trace":
         import os
         if (len(positional) == 2 and positional[1] not in DEMOS
                 and os.path.isfile(positional[1])):
-            return _trace_file(positional[1], stats=stats, kinds=kinds)
+            return _trace_file(positional[1], stats=args.stats,
+                               kinds=args.kinds)
         if len(positional) != 2 or positional[1] not in DEMOS:
-            print(f"usage: python -m repro trace <demo>|<trace.jsonl> "
-                  f"[--stats] [--jsonl PATH] "
-                  f"[--filter kind,...]; demos: {', '.join(DEMOS)}")
+            print(f"usage: python -m repro trace <demo>|<trace.jsonl>; "
+                  f"demos: {', '.join(DEMOS)}")
             return 2
-        return _run_traced(positional[1], seed=seed, jsonl=jsonl,
-                           kinds=kinds, stats=stats)
+        return _run_traced(positional[1], seed=args.seed, jsonl=args.jsonl,
+                           kinds=args.kinds, stats=args.stats)
     selected = list(DEMOS) if positional[0] == "all" else positional
     for name in selected:
         if name not in DEMOS:
             print(f"unknown demo {name!r}; try: {', '.join(DEMOS)}")
             return 2
         print(f"=== {name} ===")
-        DEMOS[name](seed=seed)
+        DEMOS[name](seed=args.seed)
         print()
     return 0
 

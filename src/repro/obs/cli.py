@@ -16,6 +16,7 @@ import argparse
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.cliargs import PROTOCOLS, checked, parse_args, protocol_list
 from repro.errors import InvariantViolationError
 from repro.net.channel import ChannelSpec
 from repro.net.cluster import ClusterConfig, ClusterRunner, launch_cluster
@@ -165,7 +166,8 @@ def _add_fleet_arguments(parser: argparse.ArgumentParser, *,
     parser.add_argument("--loss", type=float, default=0.1,
                         help="nominal loss rate of the chaos mix "
                              "(default: 0.1; 0 disables faults)")
-    parser.add_argument("--rounds", type=int, default=3,
+    parser.add_argument("--rounds", default=3,
+                        type=checked(int, lambda n: n >= 1, ">= 1"),
                         help="gossip rounds (default: 3)")
     parser.add_argument("--seed", type=int, default=0,
                         help="workload seed (default: 0)")
@@ -179,7 +181,8 @@ def monitor_main(argv: Optional[List[str]] = None) -> int:
         prog="repro monitor",
         description="Run the chaos fleet under live health monitoring and "
                     "render a per-site dashboard.")
-    parser.add_argument("--protocols", default="brv,crv,srv",
+    parser.add_argument("--protocols", type=protocol_list,
+                        default=("brv", "crv", "srv"),
                         help="comma-separated protocol list "
                              "(default: brv,crv,srv)")
     _add_fleet_arguments(parser, sites_help="fleet size (default: 8); with "
@@ -206,14 +209,9 @@ def monitor_main(argv: Optional[List[str]] = None) -> int:
                              "(schema-validated)")
     parser.add_argument("--html", metavar="PATH", default=None,
                         help="write the self-contained HTML report")
-    args = parser.parse_args(argv)
-
-    protocols = [name.strip() for name in args.protocols.split(",")
-                 if name.strip()]
-    for name in protocols:
-        if name not in ("brv", "crv", "srv"):
-            print(f"unknown protocol {name!r}; expected brv, crv, srv")
-            return 2
+    args = parse_args(parser, argv)
+    if isinstance(args, int):
+        return args
     monitor_config = MonitorConfig(cadence=args.cadence,
                                    strict=args.strict_invariants)
     metrics = MetricsRegistry()
@@ -224,7 +222,7 @@ def monitor_main(argv: Optional[List[str]] = None) -> int:
                  loss=args.loss, rounds=args.rounds, seed=args.seed,
                  chaos_seed=args.chaos_seed, monitor_config=monitor_config,
                  metrics=metrics)
-    for protocol in protocols:
+    for protocol in args.protocols:
         try:
             if args.regions > 0:
                 print(f"=== monitor {protocol}: {args.regions} regions × "
@@ -337,8 +335,7 @@ def analyze_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--fleet", action="store_true",
                         help="trace and analyze a seeded chaos fleet run "
                              "instead of reading a file")
-    parser.add_argument("--protocol", default="srv",
-                        choices=("brv", "crv", "srv"),
+    parser.add_argument("--protocol", default="srv", choices=PROTOCOLS,
                         help="fleet protocol (default: srv)")
     _add_fleet_arguments(parser, sites_help="fleet size (default: 8)")
     parser.add_argument("--sample", action="store_true",
@@ -365,7 +362,9 @@ def analyze_main(argv: Optional[List[str]] = None) -> int:
                         help="write the schema-validated analysis document")
     parser.add_argument("--html", metavar="PATH", default=None,
                         help="write the self-contained HTML waterfall")
-    args = parser.parse_args(argv)
+    args = parse_args(parser, argv)
+    if isinstance(args, int):
+        return args
 
     from repro.obs.causal import analyze_events, validate_analysis
     from repro.obs.export import events_from_jsonl

@@ -1,23 +1,26 @@
 """A checked-in schema for the OTLP-style JSON export, plus its validator.
 
 Third-party schema validators are a dependency this repo does not take,
-so :func:`validate` implements the small JSON-Schema subset the document
-needs — ``type``, ``required``, ``properties``, ``items``, ``enum``,
-``minimum``, ``pattern``.  Every schema exists once, as a JSON file under
-``src/repro/schemas/`` shipped as package data; :func:`load_schema`
-reads it, and :data:`OTLP_SCHEMA` is ``repro.obs.otlp.schema.json``.
+so :func:`validate` — the package's one schema validator — implements the
+small JSON-Schema subset the checked-in documents need.  Every schema
+exists once, as a JSON file under ``src/repro/schemas/`` shipped as
+package data; :func:`load_schema` reads it, and :data:`OTLP_SCHEMA` is
+``repro.obs.otlp.schema.json``.
 
-``python -m repro otlp-validate <export.json>`` runs the validation from
-the command line and exits non-zero on the first violation.
+``python -m repro otlp-validate <doc.json> [--schema <file>]`` runs the
+validation from the command line and exits non-zero on a violation.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import importlib.resources
 import json
 import re
 from typing import Any, Dict, List
 
+from repro.cliargs import parse_args
 from repro.errors import ReproError
 
 
@@ -25,6 +28,10 @@ def load_schema(name: str) -> Dict[str, Any]:
     """One checked-in schema, read from the package's ``schemas/`` data."""
     resource = importlib.resources.files("repro") / "schemas" / name
     return json.loads(resource.read_text(encoding="utf-8"))
+
+
+#: ``$ref`` targets, read once per process (never handed to callers).
+_referenced_schema = functools.lru_cache(maxsize=None)(load_schema)
 
 
 #: The OTLP-style export document produced by :func:`repro.obs.exporters.to_otlp`.
@@ -46,11 +53,16 @@ def validate(document: Any, schema: Dict[str, Any],
              path: str = "$") -> List[str]:
     """Violations of ``schema`` in ``document`` (empty list = valid).
 
-    Supports the JSON-Schema subset the OTLP export uses: ``type``,
-    ``required``, ``properties``, ``items``, ``enum``, ``minimum``,
-    ``pattern``.  Unknown keys in the document are allowed (OTLP is
-    forward-extensible); unknown keywords in the *schema* are ignored.
+    Supports ``type``, ``required``, ``properties``,
+    ``additionalProperties`` (a subschema for every key outside
+    ``properties``), ``items``, ``minItems``, ``enum``, ``minimum``,
+    ``maximum``, ``pattern``, and ``$ref`` naming another packaged
+    schema file (siblings ignored, as in draft-07).  Unknown document
+    keys are allowed otherwise (OTLP is forward-extensible); unknown
+    schema keywords are ignored.
     """
+    if "$ref" in schema:
+        return validate(document, _referenced_schema(schema["$ref"]), path)
     errors: List[str] = []
     expected = schema.get("type")
     if expected is not None:
@@ -63,10 +75,11 @@ def validate(document: Any, schema: Dict[str, Any],
             return errors  # structural mismatch; nothing deeper to check
     if "enum" in schema and document not in schema["enum"]:
         errors.append(f"{path}: {document!r} not in {schema['enum']!r}")
-    if "minimum" in schema and isinstance(document, (int, float)) \
-            and not isinstance(document, bool) \
-            and document < schema["minimum"]:
+    number = _TYPE_CHECKS["number"](document)
+    if number and document < schema.get("minimum", document):
         errors.append(f"{path}: {document} < minimum {schema['minimum']}")
+    if number and document > schema.get("maximum", document):
+        errors.append(f"{path}: {document} > maximum {schema['maximum']}")
     if "pattern" in schema and isinstance(document, str) \
             and not re.search(schema["pattern"], document):
         errors.append(f"{path}: {document!r} does not match "
@@ -75,12 +88,22 @@ def validate(document: Any, schema: Dict[str, Any],
         for key in schema.get("required", ()):
             if key not in document:
                 errors.append(f"{path}: missing required key {key!r}")
-        for key, subschema in schema.get("properties", {}).items():
+        properties = schema.get("properties", {})
+        for key, subschema in properties.items():
             if key in document:
                 errors.extend(validate(document[key], subschema,
                                        f"{path}.{key}"))
-    if isinstance(document, list) and "items" in schema:
-        for index, item in enumerate(document):
+        if "additionalProperties" in schema:
+            for key, value in document.items():
+                if key not in properties:
+                    errors.extend(validate(
+                        value, schema["additionalProperties"],
+                        f"{path}.{key}"))
+    if isinstance(document, list):
+        if len(document) < schema.get("minItems", 0):
+            errors.append(f"{path}: {len(document)} item(s) < minItems "
+                          f"{schema['minItems']}")
+        for index, item in enumerate(document if "items" in schema else ()):
             errors.extend(validate(item, schema["items"],
                                    f"{path}[{index}]"))
     return errors
@@ -91,25 +114,40 @@ def validate_otlp(document: Any) -> List[str]:
     return validate(document, OTLP_SCHEMA)
 
 
-def schema_main(argv: Any = None) -> int:
-    """``repro otlp-validate <export.json> [--schema <file>]``."""
-    import argparse
+def _read_json(path: str) -> Any:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as error:
+        raise ValueError(f"cannot read {path}: {error}") from error
 
+
+def schema_main(argv: Any = None) -> int:
+    """``repro otlp-validate <doc.json> [--schema <file>]``.
+
+    Exit codes: 0 — valid; 1 — violations; 2 — bad argument or an
+    unreadable document or schema.
+    """
     parser = argparse.ArgumentParser(
         prog="repro otlp-validate",
-        description="Validate an OTLP-style JSON export against the "
-                    "checked-in schema.")
-    parser.add_argument("path", help="export document to validate")
+        description="Validate a JSON document against a checked-in "
+                    "schema (default: the OTLP-style export's).")
+    parser.add_argument("path", help="document to validate")
     parser.add_argument("--schema", default=None,
                         help="validate against this schema file instead of "
-                             "the packaged OTLP schema")
-    args = parser.parse_args(argv)
-    with open(args.path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    schema = OTLP_SCHEMA
-    if args.schema is not None:
-        with open(args.schema, "r", encoding="utf-8") as handle:
-            schema = json.load(handle)
+                             "the packaged OTLP schema (e.g. "
+                             "src/repro/schemas/"
+                             "repro.bench.cluster.schema.json)")
+    args = parse_args(parser, argv)
+    if isinstance(args, int):
+        return args
+    try:
+        document = _read_json(args.path)
+        schema = (OTLP_SCHEMA if args.schema is None
+                  else _read_json(args.schema))
+    except ValueError as error:
+        print(error)
+        return 2
     errors = validate(document, schema)
     if errors:
         for error in errors:

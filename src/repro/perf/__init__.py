@@ -3,8 +3,9 @@
 * :mod:`repro.perf.bench` — runs the paper's workload scenarios on the
   :class:`~repro.net.cluster.ClusterRunner` at several fleet sizes and
   emits a machine-readable ``BENCH_cluster.json`` document.
-* :mod:`repro.perf.schema` — the document's schema and a dependency-free
-  validator (also runnable: ``python -m repro.perf.schema FILE``).
+* :mod:`repro.perf.schema` — validates the document against its
+  checked-in JSON schema plus the cross-field identities (also runnable:
+  ``python -m repro.perf.schema FILE``).
 
 The CLI entry point is ``python -m repro bench`` (or ``repro bench`` for
 an installed distribution).

@@ -21,32 +21,43 @@ Scenarios mirror the fleet regimes the paper distinguishes:
   background anti-entropy, with client-felt latency and staleness
   percentiles in the record's ``client`` object.
 
-Every run also asserts the harness's accounting invariant — concurrent
+Each grid cell is one row of :func:`_scenario_table`.  The shared path
+:func:`_run_cell` times it, writes the standard record fields, and with
+``paired=True`` asserts the harness's accounting invariant — concurrent
 scheduling must not change traffic — via
-:func:`~repro.net.cluster.replay_sequential` when ``paired=True``.
+:func:`~repro.net.cluster.replay_sequential`.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import cProfile
 import hashlib
 import json
 import multiprocessing
+import pstats
 import time
-from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.cliargs import checked, csv_list, parse_args, protocol_list
 from repro.errors import ReproError
 from repro.net.channel import ChannelSpec
 from repro.net.cluster import (ClusterConfig, ClusterResult, ClusterRunner,
                                launch_cluster, replay_sequential)
-from repro.net.sharding import ShardMap
+from repro.net.stats import TransferStats
 from repro.net.topology import LinkProfile, TopologySpec
 from repro.net.wire import Encoding
 from repro.obs.causal import analyze_tracer
+from repro.obs.consistency import ConsistencyConfig, ConsistencyMonitor
 from repro.obs.metrics import MetricsRegistry, wall_timer
 from repro.obs.monitor import ClusterMonitor, MonitorConfig
 from repro.obs.trace import Tracer
 from repro.perf.schema import SCHEMA_ID, validate_bench
+from repro.workload.clients import (StoreWorkloadConfig, StoreWorkloadResult,
+                                    run_store_workload)
 from repro.workload.cluster import (chaos_faults, gossip_schedule,
                                     site_names, update_schedule)
 from repro.workload.epidemic import (closing_sweep, epidemic_schedule,
@@ -147,32 +158,30 @@ class BenchConfig:
                                 seed=self.chaos_seed))
 
 
-def _scenario_for(protocol: str) -> str:
-    return ("single-writer-gossip" if protocol == "brv"
-            else "multi-writer-gossip")
+def _make_observer(kind: str, enabled: bool) -> Any:
+    """The cell's observer under ``--monitor``, else ``None``.
 
-
-def _make_monitor(enabled: bool) -> Optional[ClusterMonitor]:
-    """The per-cell monitor, or ``None`` (the byte-identical default).
-
-    Bench cells run the monitor in counting mode: a violation must land
-    in the document (where the comparator gate fails on it), not abort
-    the sweep halfway through.
+    Health monitors count rather than abort: a violation must land in
+    the document, where the comparator gate fails on it.  The
+    multi-region cell is monitored ``always``: its per-region scores and
+    shard-load spread are the scenario's deliverable, and attaching the
+    monitor is deterministic.  The store cell takes the ``consistency``
+    observatory instead: the health monitor's ancestor-closure oracle
+    assumes whole-state sessions, which per-key store sessions are not.
     """
-    return ClusterMonitor(MonitorConfig(strict=False)) if enabled else None
+    if kind == "consistency":
+        return ConsistencyMonitor(ConsistencyConfig()) if enabled else None
+    if enabled or kind == "always":
+        return ClusterMonitor(MonitorConfig(strict=False))
+    return None
 
 
-def _monitor_fields(monitor: Optional[ClusterMonitor]) -> Dict[str, Any]:
-    """The extra record fields a monitored cell carries (picklable)."""
-    if monitor is None:
+def _monitor_fields(monitor: Any) -> Dict[str, Any]:
+    """The extra record fields a health-monitored cell carries."""
+    if not isinstance(monitor, ClusterMonitor):
         return {}
     return {"invariant_violations": monitor.violation_count,
             "health": monitor.health_summary()}
-
-
-def _make_tracer(enabled: bool) -> Optional[Tracer]:
-    """The per-cell causal tracer, or ``None`` (the default)."""
-    return Tracer() if enabled else None
 
 
 def _analyze_fields(tracer: Optional[Tracer]) -> Dict[str, Any]:
@@ -195,347 +204,125 @@ def _analyze_fields(tracer: Optional[Tracer]) -> Dict[str, Any]:
             "critical_path_attribution": path["attribution"]}
 
 
-def _run_one(protocol: str, n_sites: int, config: BenchConfig, *,
-             metrics: Optional[MetricsRegistry] = None,
-             monitor: bool = False, analyze: bool = False) -> Dict[str, Any]:
-    sites = site_names(n_sites)
-    n_updates = max(1, round(n_sites * config.updates_per_site))
-    cluster_config = ClusterConfig(
-        protocol=protocol,
-        channel=config.channel(),
-        encoding=Encoding.for_system(n_sites, max(16, n_updates)),
-        fanout=config.fanout,
-        backend=config.backend,
-    )
+class _Measured(NamedTuple):
+    """The quantities the shared path reads off any finished cell."""
+
+    sessions: int
+    updates: int
+    updates_deferred: int
+    reconciliations: int
+    totals: TransferStats
+    per_session: List[int]
+    completion_time: float
+    max_queue_wait: float
+    consistent: bool
+    #: Scenario-specific record fields only known after the run.
+    extra: Dict[str, Any]
+
+
+class _Launched(NamedTuple):
+    """A built cell, ready to time."""
+
+    #: The timed part: runs the workload and returns its result.
+    run: Callable[[], Any]
+    measure: Callable[[Any], _Measured]
+    #: Replayed sequentially against the result when ``config.paired``.
+    runner: Optional[ClusterRunner] = None
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """One row of the scenario table: what sets one grid cell apart.
+
+    Everything else — the standard record fields, the bits-per-session
+    percentiles, the wall timer and the paired sequential replay — is
+    the shared path of :func:`_run_cell`.  Rows hold only module-level
+    callables, so a cell pickles into a pool worker unchanged.
+    """
+
+    scenario: str
+    protocol: str
+    n_sites: int
+    #: The cell's wall time lands in ``bench.cluster.<timer>.wall_seconds``.
+    timer: str
+    #: ``launch(cell, config, metrics=, monitor=, tracer=)`` builds the fleet.
+    launch: Callable[..., _Launched]
+    #: ``health``, ``always`` or ``consistency``: see :func:`_make_observer`.
+    observer: str = "health"
+    channel: ChannelSpec = ChannelSpec()
+    #: Objects per site and per frame; ``None`` (recorded as absent) runs
+    #: the plain single-object gossip path.
+    n_objects: Optional[int] = None
+    batch_size: Optional[int] = None
+    stop_and_wait: bool = False
+    #: Overrides the encoding's per-session header bits when set.
+    header_bits: Optional[int] = None
+    #: The scenario's own workload description, when it has one.
+    spec: Any = None
+    #: Record fields known before the run.
+    fields: Dict[str, Any] = field(default_factory=dict)
+    #: Record ``wire_bits_per_object``: total bits over synced objects.
+    per_object: bool = False
+    #: Record the ARQ accounting: goodput vs retransmitted bits, counters.
+    reliability: bool = False
+
+
+def _measure_cluster(result: ClusterResult, **extra: Any) -> _Measured:
+    return _Measured(result.sessions, result.updates_applied,
+                     result.updates_deferred, result.reconciliations,
+                     result.totals, result.per_session_bits(),
+                     result.completion_time, result.max_queue_wait,
+                     result.consistent(), extra)
+
+
+def _launch_gossip(cell: _Cell, config: BenchConfig, *,
+                   metrics: MetricsRegistry, monitor: Any,
+                   tracer: Optional[Tracer]) -> _Launched:
+    """A gossip fleet on one shared channel (gossip, batched, chaos)."""
+    sites = site_names(cell.n_sites)
+    n_updates = max(1, round(cell.n_sites * config.updates_per_site))
+    encoding = Encoding.for_system(cell.n_sites, max(16, n_updates))
+    if cell.header_bits is not None:
+        encoding = replace(encoding, session_header_bits=cell.header_bits)
+    runner = ClusterRunner(sites, ClusterConfig(
+        protocol=cell.protocol, channel=cell.channel, encoding=encoding,
+        fanout=config.fanout, stop_and_wait=cell.stop_and_wait,
+        n_objects=cell.n_objects or 1, batch_size=cell.batch_size or 1,
+        backend=config.backend), metrics=metrics, monitor=monitor,
+        tracer=tracer)
     sessions = gossip_schedule(
         sites, rounds=config.rounds, period=config.gossip_period,
         jitter=config.gossip_jitter, seed=config.seed)
-    writers = [sites[0]] if protocol == "brv" else None
+    # BRV cannot reconcile concurrent vectors (Algorithm 2's
+    # precondition), so its cells take single-writer updates.
     updates = update_schedule(
         sites, n_updates=n_updates, interval=config.update_interval,
-        seed=config.seed + 1, writers=writers)
-    cell_monitor = _make_monitor(monitor)
-    cell_tracer = _make_tracer(analyze)
-    runner = ClusterRunner(sites, cluster_config, metrics=metrics,
-                           monitor=cell_monitor, tracer=cell_tracer)
-    start = time.perf_counter()
-    with wall_timer(metrics, f"bench.cluster.{protocol}.wall_seconds"):
-        result = runner.run(sessions, updates)
-    wall_seconds = time.perf_counter() - start
-    if config.paired:
-        _assert_scheduling_independent(sites, cluster_config, result)
-    per_session = result.per_session_bits()
-    ranked = sorted(per_session)
-    return {
-        **_monitor_fields(cell_monitor),
-        **_analyze_fields(cell_tracer),
-        "scenario": _scenario_for(protocol),
-        "protocol": protocol,
-        "n_sites": n_sites,
-        "sessions": result.sessions,
-        "updates": result.updates_applied,
-        "updates_deferred": result.updates_deferred,
-        "reconciliations": result.reconciliations,
-        "total_bits": result.total_bits,
-        "traffic": result.totals.summary(),
-        "bits_per_session": {
-            "mean": sum(per_session) / len(per_session) if per_session else 0,
-            "p50": ranked[len(ranked) // 2] if ranked else 0,
-            "p90": ranked[min(len(ranked) - 1, (9 * len(ranked)) // 10)]
-                   if ranked else 0,
-            "max": ranked[-1] if ranked else 0,
-        },
-        "sim_completion_seconds": result.completion_time,
-        "wall_seconds": wall_seconds,
-        "max_queue_wait_seconds": result.max_queue_wait,
-        "consistent": result.consistent(),
-    }
+        seed=config.seed + 1,
+        writers=[sites[0]] if cell.protocol == "brv" else None,
+        n_objects=cell.n_objects or 1)
+    return _Launched(partial(runner.run, sessions, updates),
+                     _measure_cluster, runner)
 
 
-def _run_batched_one(batch_size: int, config: BenchConfig, *,
-                     metrics: Optional[MetricsRegistry] = None,
-                     monitor: bool = False,
-                     analyze: bool = False) -> Dict[str, Any]:
-    """One batched many-objects run (always SRV, stop-and-wait).
+def _launch_multiregion(cell: _Cell, config: BenchConfig, *,
+                        metrics: MetricsRegistry, monitor: Any,
+                        tracer: Optional[Tracer]) -> _Launched:
+    """The sharded multi-region fleet of ``cell.spec`` (a TopologySpec).
 
-    Stop-and-wait plus a non-zero per-session header is the regime where
-    framing pays: ``batch_size=1`` ships one header and one ack stream
-    per object, larger sizes one header and one ack per frame.  The
-    record adds ``n_objects``/``batch_size``/``wire_bits_per_object`` on
-    top of the standard fields so two batch sizes are directly
-    comparable.
+    :func:`~repro.net.cluster.launch_cluster` shards objects on the
+    consistent-hash ring, epidemic push/pull rounds disseminate among
+    shard peers over chaos-faulted WAN links, and the deterministic
+    two-phase closing sweep follows — so ``consistent`` asserts that
+    every replica group converged under loss, not that it probably did.
     """
-    n_sites = config.batched_site_count
-    n_objects = config.batched_objects
-    sites = site_names(n_sites)
-    n_updates = max(1, round(n_sites * config.updates_per_site))
-    cluster_config = ClusterConfig(
-        protocol="srv",
-        channel=config.channel(),
-        encoding=replace(Encoding.for_system(n_sites, max(16, n_updates)),
-                         session_header_bits=config.batched_header_bits),
-        fanout=config.fanout,
-        stop_and_wait=True,
-        n_objects=n_objects,
-        batch_size=batch_size,
-        backend=config.backend,
-    )
-    sessions = gossip_schedule(
-        sites, rounds=config.rounds, period=config.gossip_period,
-        jitter=config.gossip_jitter, seed=config.seed)
-    updates = update_schedule(
-        sites, n_updates=n_updates, interval=config.update_interval,
-        seed=config.seed + 1, n_objects=n_objects)
-    cell_monitor = _make_monitor(monitor)
-    cell_tracer = _make_tracer(analyze)
-    runner = ClusterRunner(sites, cluster_config, metrics=metrics,
-                           monitor=cell_monitor, tracer=cell_tracer)
-    start = time.perf_counter()
-    with wall_timer(metrics, "bench.cluster.batched.wall_seconds"):
-        result = runner.run(sessions, updates)
-    wall_seconds = time.perf_counter() - start
-    if config.paired:
-        _assert_scheduling_independent(sites, cluster_config, result)
-    per_session = result.per_session_bits()
-    ranked = sorted(per_session)
-    synced_objects = result.sessions * n_objects
-    return {
-        **_monitor_fields(cell_monitor),
-        **_analyze_fields(cell_tracer),
-        "scenario": "batched-many-objects",
-        "protocol": "srv",
-        "n_sites": n_sites,
-        "n_objects": n_objects,
-        "batch_size": batch_size,
-        "sessions": result.sessions,
-        "updates": result.updates_applied,
-        "updates_deferred": result.updates_deferred,
-        "reconciliations": result.reconciliations,
-        "total_bits": result.total_bits,
-        "wire_bits_per_object": (result.total_bits / synced_objects
-                                 if synced_objects else 0.0),
-        "traffic": result.totals.summary(),
-        "bits_per_session": {
-            "mean": sum(per_session) / len(per_session) if per_session else 0,
-            "p50": ranked[len(ranked) // 2] if ranked else 0,
-            "p90": ranked[min(len(ranked) - 1, (9 * len(ranked)) // 10)]
-                   if ranked else 0,
-            "max": ranked[-1] if ranked else 0,
-        },
-        "sim_completion_seconds": result.completion_time,
-        "wall_seconds": wall_seconds,
-        "max_queue_wait_seconds": result.max_queue_wait,
-        "consistent": result.consistent(),
-    }
-
-
-def _run_chaos_one(protocol: str, loss: float, config: BenchConfig, *,
-                   metrics: Optional[MetricsRegistry] = None,
-                   monitor: bool = False,
-                   analyze: bool = False) -> Dict[str, Any]:
-    """One chaos cell: the batched fleet on a faulted channel.
-
-    Every protocol runs the same ``batched_site_count`` ×
-    ``batched_objects`` workload (single-writer updates for BRV, which
-    cannot reconcile concurrent vectors) over a channel injecting the
-    standard fault mix for ``loss``.  The reliable ARQ transport engages
-    automatically; the record separates goodput from retransmitted bits
-    and carries the retry/timeout/resume counters, so the per-scheme
-    robustness overhead is machine-diffable across PRs.  The paired
-    sequential replay applies here too — per-session injector seeds make
-    even chaotic runs scheduling-independent.
-    """
-    n_sites = config.batched_site_count
-    n_objects = config.batched_objects
-    sites = site_names(n_sites)
-    n_updates = max(1, round(n_sites * config.updates_per_site))
-    cluster_config = ClusterConfig(
-        protocol=protocol,
-        channel=config.chaos_channel(loss),
-        encoding=Encoding.for_system(n_sites, max(16, n_updates)),
-        fanout=config.fanout,
-        n_objects=n_objects,
-        batch_size=config.chaos_batch_size,
-        backend=config.backend,
-    )
-    sessions = gossip_schedule(
-        sites, rounds=config.rounds, period=config.gossip_period,
-        jitter=config.gossip_jitter, seed=config.seed)
-    writers = [sites[0]] if protocol == "brv" else None
-    updates = update_schedule(
-        sites, n_updates=n_updates, interval=config.update_interval,
-        seed=config.seed + 1, writers=writers, n_objects=n_objects)
-    cell_monitor = _make_monitor(monitor)
-    cell_tracer = _make_tracer(analyze)
-    runner = ClusterRunner(sites, cluster_config, metrics=metrics,
-                           monitor=cell_monitor, tracer=cell_tracer)
-    start = time.perf_counter()
-    with wall_timer(metrics, f"bench.cluster.chaos.{protocol}.wall_seconds"):
-        result = runner.run(sessions, updates)
-    wall_seconds = time.perf_counter() - start
-    if config.paired:
-        _assert_scheduling_independent(sites, cluster_config, result)
-    per_session = result.per_session_bits()
-    ranked = sorted(per_session)
-    totals = result.totals
-    return {
-        **_monitor_fields(cell_monitor),
-        **_analyze_fields(cell_tracer),
-        "scenario": "chaos-loss",
-        "protocol": protocol,
-        "n_sites": n_sites,
-        "n_objects": n_objects,
-        "batch_size": config.chaos_batch_size,
-        "loss_rate": loss,
-        "chaos_seed": config.chaos_seed,
-        "sessions": result.sessions,
-        "updates": result.updates_applied,
-        "updates_deferred": result.updates_deferred,
-        "reconciliations": result.reconciliations,
-        "total_bits": result.total_bits,
-        "goodput_bits": totals.total_goodput_bits,
-        "retransmitted_bits": totals.total_retransmitted_bits,
-        "retries": totals.retries,
-        "timeouts": totals.timeouts,
-        "resumes": totals.resumes,
-        "goodput_overhead_pct": (
-            (result.total_bits - totals.total_goodput_bits)
-            / totals.total_goodput_bits * 100
-            if totals.total_goodput_bits else 0.0),
-        "traffic": totals.summary(),
-        "bits_per_session": {
-            "mean": sum(per_session) / len(per_session) if per_session else 0,
-            "p50": ranked[len(ranked) // 2] if ranked else 0,
-            "p90": ranked[min(len(ranked) - 1, (9 * len(ranked)) // 10)]
-                   if ranked else 0,
-            "max": ranked[-1] if ranked else 0,
-        },
-        "sim_completion_seconds": result.completion_time,
-        "wall_seconds": wall_seconds,
-        "max_queue_wait_seconds": result.max_queue_wait,
-        "consistent": result.consistent(),
-    }
-
-
-def _run_store_one(config: BenchConfig, *,
-                   metrics: Optional[MetricsRegistry] = None,
-                   monitor: bool = False,
-                   analyze: bool = False) -> Dict[str, Any]:
-    """One store-workload cell: client traffic against the KV store.
-
-    The record keeps the standard cluster shape (``updates`` counts
-    client writes, ``updates_deferred`` the ops parked behind a busy
-    site, ``consistent`` the per-key sibling-set convergence check) and
-    adds a ``client`` object with the client-felt numbers: op mix,
-    read-repair count, and exact latency/staleness percentiles.  A
-    monitored sweep attaches the *consistency* observatory
-    (:mod:`repro.obs.consistency`) rather than the cluster health
-    monitor — the health monitor's ancestor-closure oracle assumes
-    whole-state sessions, which per-key store sessions are not — and
-    embeds its digest as the record's ``consistency`` object
-    (schema-validated alongside the rest of the document).
-    """
-    from repro.workload.clients import StoreWorkloadConfig, run_store_workload
-
-    workload_config = StoreWorkloadConfig(
-        n_sites=config.store_site_count, n_keys=config.store_keys,
-        n_clients=config.store_clients, ops=config.store_ops,
-        read_ratio=config.store_read_ratio, zipf=config.store_zipf,
-        net_latency=config.latency, bandwidth=config.bandwidth,
-        seed=config.seed, backend=config.backend)
-    cell_monitor = None
-    if monitor:
-        from repro.obs.consistency import (ConsistencyConfig,
-                                           ConsistencyMonitor)
-        cell_monitor = ConsistencyMonitor(ConsistencyConfig())
-    cell_tracer = _make_tracer(analyze)
-    start = time.perf_counter()
-    with wall_timer(metrics, "bench.cluster.store.wall_seconds"):
-        result = run_store_workload(workload_config, tracer=cell_tracer,
-                                    metrics=metrics, monitor=cell_monitor)
-    wall_seconds = time.perf_counter() - start
-    store = result.store
-    per_session = [record.result.stats.total_bits
-                   for record in store.records if record.result is not None]
-    ranked = sorted(per_session)
-
-    def _percentiles(summary: Dict[str, float]) -> Dict[str, float]:
-        return {name: summary[name] for name in ("p50", "p90", "p99")}
-
-    return {
-        **_analyze_fields(cell_tracer),
-        "scenario": "store-workload",
-        "protocol": workload_config.protocol,
-        "n_sites": workload_config.n_sites,
-        "n_objects": workload_config.n_keys,
-        "batch_size": workload_config.batch_size,
-        "sessions": store.sessions,
-        "updates": result.writes + result.deletes,
-        "updates_deferred": store.ops_deferred,
-        "reconciliations": store.reconciliations,
-        "total_bits": store.total_bits,
-        "traffic": store.totals.summary(),
-        "bits_per_session": {
-            "mean": sum(per_session) / len(per_session) if per_session else 0,
-            "p50": ranked[len(ranked) // 2] if ranked else 0,
-            "p90": ranked[min(len(ranked) - 1, (9 * len(ranked)) // 10)]
-                   if ranked else 0,
-            "max": ranked[-1] if ranked else 0,
-        },
-        "sim_completion_seconds": store.completion_time,
-        "wall_seconds": wall_seconds,
-        "max_queue_wait_seconds": store.max_queue_wait,
-        "consistent": result.converged,
-        "client": {
-            "ops": result.ops,
-            "reads": result.reads,
-            "writes": result.writes,
-            "deletes": result.deletes,
-            "read_repairs": store.read_repairs,
-            "sessions_abandoned": store.sessions_abandoned,
-            "get_latency_seconds": _percentiles(
-                result.latency_summary("get")),
-            "put_latency_seconds": _percentiles(
-                result.latency_summary("put")),
-            "staleness_seconds": _percentiles(result.staleness_summary()),
-        },
-        **({"consistency": result.consistency}
-           if result.consistency is not None else {}),
-    }
-
-
-def _run_multiregion_one(config: BenchConfig, *,
-                         metrics: Optional[MetricsRegistry] = None,
-                         monitor: bool = False,
-                         analyze: bool = False) -> Dict[str, Any]:
-    """One multi-region sharded cell (always SRV, always monitored).
-
-    The fleet comes straight from ``config.topology`` via
-    :func:`~repro.net.cluster.launch_cluster`: consistent-hash sharding
-    at the spec's replication factor, epidemic push/pull dissemination
-    among shard peers, chaos-faulted WAN links, and the deterministic
-    two-phase closing sweep — so ``consistent`` asserts that every
-    replica group converged under loss, not that it probably did.  The
-    monitor rides along unconditionally (ignoring the ``monitor`` flag,
-    which other cells use as an opt-in): the per-region scores and
-    shard-load spread in ``health`` are the scenario's deliverable, and
-    attaching it is deterministic, so the record is identical either
-    way.
-    """
-    spec = config.topology
-    if spec is None:  # pragma: no cover - the grid gates on the spec
-        raise ReproError("multi-region cell needs a BenchConfig.topology")
-    n_sites = spec.n_sites
-    n_objects = config.mr_objects
-    n_updates = max(1, round(n_sites * config.updates_per_site))
-    cell_monitor = _make_monitor(True)
-    cell_tracer = _make_tracer(analyze)
+    spec = cell.spec
+    n_updates = max(1, round(cell.n_sites * config.updates_per_site))
     runner = launch_cluster(
-        spec, protocol="srv", n_objects=n_objects,
-        batch_size=config.mr_batch_size,
-        encoding=Encoding.for_system(n_sites, max(16, n_updates)),
-        backend=config.backend, metrics=metrics, monitor=cell_monitor,
-        tracer=cell_tracer)
+        spec, protocol=cell.protocol, n_objects=cell.n_objects,
+        batch_size=cell.batch_size,
+        encoding=Encoding.for_system(cell.n_sites, max(16, n_updates)),
+        backend=config.backend, metrics=metrics, monitor=monitor,
+        tracer=tracer)
     shards = runner.shards
     sessions = epidemic_schedule(
         spec, shards, rounds=config.mr_rounds, period=config.gossip_period,
@@ -546,68 +333,197 @@ def _run_multiregion_one(config: BenchConfig, *,
     last = max([request.at for request in sessions]
                + [update.at for update in updates], default=0.0)
     sessions = list(sessions) + closing_sweep(shards, start=last + 500.0)
-    start = time.perf_counter()
-    with wall_timer(metrics, "bench.cluster.multiregion.wall_seconds"):
-        result = runner.run(sessions, updates)
-    wall_seconds = time.perf_counter() - start
-    if config.paired:
-        _assert_scheduling_independent(runner.sites, runner.config, result,
-                                       shards=shards)
-    per_session = result.per_session_bits()
+
+    def measure(result: ClusterResult) -> _Measured:
+        return _measure_cluster(
+            result, shard_groups=len(shards.groups()),
+            shard_load=shards.load_summary(),
+            skipped_sessions=result.skipped_sessions)
+
+    return _Launched(partial(runner.run, sessions, updates), measure,
+                     runner)
+
+
+def _launch_store(cell: _Cell, config: BenchConfig, *,
+                  metrics: MetricsRegistry, monitor: Any,
+                  tracer: Optional[Tracer]) -> _Launched:
+    """Client traffic against the key-value store of ``cell.spec``."""
+    return _Launched(partial(run_store_workload, cell.spec, tracer=tracer,
+                             metrics=metrics, monitor=monitor),
+                     _measure_store)
+
+
+def _measure_store(result: StoreWorkloadResult) -> _Measured:
+    """``updates`` counts client writes and deletes, ``updates_deferred``
+    the ops parked behind a busy site, ``consistent`` the per-key
+    sibling-set convergence check; ``client`` adds the op mix, read
+    repairs, and exact latency/staleness percentiles."""
+    store = result.store
+
+    def percentiles(summary: Dict[str, float]) -> Dict[str, float]:
+        return {name: summary[name] for name in ("p50", "p90", "p99")}
+
+    extra: Dict[str, Any] = {"client": {
+        "ops": result.ops,
+        "reads": result.reads,
+        "writes": result.writes,
+        "deletes": result.deletes,
+        "read_repairs": store.read_repairs,
+        "sessions_abandoned": store.sessions_abandoned,
+        "get_latency_seconds": percentiles(result.latency_summary("get")),
+        "put_latency_seconds": percentiles(result.latency_summary("put")),
+        "staleness_seconds": percentiles(result.staleness_summary()),
+    }}
+    if result.consistency is not None:
+        extra["consistency"] = result.consistency
+    return _Measured(
+        store.sessions, result.writes + result.deletes, store.ops_deferred,
+        store.reconciliations, store.totals,
+        [record.result.stats.total_bits
+         for record in store.records if record.result is not None],
+        store.completion_time, store.max_queue_wait, result.converged,
+        extra)
+
+
+def _scenario_table(config: BenchConfig) -> List[_Cell]:
+    """The grid, one row per cell, derived from ``config`` alone.
+
+    The table order *is* the document's run order, whether cells run
+    serially or fan out across workers.
+    """
+    cells = [_Cell("single-writer-gossip" if protocol == "brv"
+                   else "multi-writer-gossip", protocol, n_sites,
+                   timer=protocol, launch=_launch_gossip,
+                   channel=config.channel())
+             for n_sites in config.site_counts
+             for protocol in config.protocols]
+    # Stop-and-wait plus a per-session header is the regime where
+    # framing pays: batch 1 ships one header and one ack stream per
+    # object, larger batches one per frame.
+    cells += [_Cell("batched-many-objects", "srv", config.batched_site_count,
+                    timer="batched", launch=_launch_gossip,
+                    channel=config.channel(),
+                    n_objects=config.batched_objects, batch_size=batch_size,
+                    stop_and_wait=True,
+                    header_bits=config.batched_header_bits, per_object=True)
+              for batch_size in config.batched_sizes]
+    # The batched fleet per protocol over a faulted channel; the paired
+    # replay applies too, since per-session injector seeds make even
+    # chaotic runs scheduling-independent.
+    cells += [_Cell("chaos-loss", protocol, config.batched_site_count,
+                    timer=f"chaos.{protocol}", launch=_launch_gossip,
+                    channel=config.chaos_channel(loss),
+                    n_objects=config.batched_objects,
+                    batch_size=config.chaos_batch_size,
+                    fields={"loss_rate": loss,
+                            "chaos_seed": config.chaos_seed},
+                    reliability=True)
+              for loss in config.chaos_loss_rates
+              for protocol in config.protocols]
+    if config.store_ops > 0:
+        workload = StoreWorkloadConfig(
+            n_sites=config.store_site_count, n_keys=config.store_keys,
+            n_clients=config.store_clients, ops=config.store_ops,
+            read_ratio=config.store_read_ratio, zipf=config.store_zipf,
+            net_latency=config.latency, bandwidth=config.bandwidth,
+            seed=config.seed, backend=config.backend)
+        cells.append(_Cell(
+            "store-workload", workload.protocol, workload.n_sites,
+            timer="store", launch=_launch_store,
+            observer="consistency", spec=workload,
+            n_objects=workload.n_keys, batch_size=workload.batch_size))
+    spec = config.topology
+    if spec is not None and config.mr_objects > 0:
+        cells.append(_Cell(
+            "multi-region-sharded", "srv", spec.n_sites,
+            timer="multiregion", launch=_launch_multiregion,
+            observer="always", spec=spec,
+            n_objects=config.mr_objects, batch_size=config.mr_batch_size,
+            fields={"regions": len(spec.regions),
+                    "replication": spec.replication,
+                    "loss_rate": spec.inter.loss,
+                    "chaos_seed": spec.chaos_seed},
+            reliability=True))
+    return cells
+
+
+def _bits_per_session(per_session: List[int]) -> Dict[str, Any]:
     ranked = sorted(per_session)
-    totals = result.totals
-    return {
+    if not ranked:
+        return {"mean": 0, "p50": 0, "p90": 0, "max": 0}
+    return {"mean": sum(ranked) / len(ranked),
+            "p50": ranked[len(ranked) // 2],
+            "p90": ranked[min(len(ranked) - 1, (9 * len(ranked)) // 10)],
+            "max": ranked[-1]}
+
+
+def _run_cell(task: Tuple[_Cell, BenchConfig, bool, bool]
+              ) -> Tuple[Dict[str, Any], MetricsRegistry]:
+    """Execute one grid cell with a private registry (pool-picklable).
+
+    Every cell derives its schedules from ``config.seed`` alone — no
+    state is shared between cells — so the record is identical whether
+    the cell runs in the parent or in a pool worker.  ``monitor`` and
+    ``analyze`` are call flags, not ``BenchConfig`` fields, for the
+    fingerprint reason :func:`run_cluster_bench` gives.
+    """
+    cell, config, monitor, analyze = task
+    metrics = MetricsRegistry()
+    cell_monitor = _make_observer(cell.observer, monitor)
+    cell_tracer = Tracer() if analyze else None
+    launched = cell.launch(cell, config, metrics=metrics,
+                           monitor=cell_monitor, tracer=cell_tracer)
+    start = time.perf_counter()
+    with wall_timer(metrics, f"bench.cluster.{cell.timer}.wall_seconds"):
+        result = launched.run()
+    wall_seconds = time.perf_counter() - start
+    if config.paired and launched.runner is not None:
+        _assert_scheduling_independent(launched.runner, result)
+    measured = launched.measure(result)
+    totals = measured.totals
+    record: Dict[str, Any] = {
         **_monitor_fields(cell_monitor),
         **_analyze_fields(cell_tracer),
-        "scenario": "multi-region-sharded",
-        "protocol": "srv",
-        "n_sites": n_sites,
-        "n_objects": n_objects,
-        "batch_size": config.mr_batch_size,
-        "regions": len(spec.regions),
-        "replication": spec.replication,
-        "shard_groups": len(shards.groups()),
-        "shard_load": shards.load_summary(),
-        "loss_rate": spec.inter.loss,
-        "chaos_seed": spec.chaos_seed,
-        "sessions": result.sessions,
-        "skipped_sessions": result.skipped_sessions,
-        "updates": result.updates_applied,
-        "updates_deferred": result.updates_deferred,
-        "reconciliations": result.reconciliations,
-        "total_bits": result.total_bits,
-        "goodput_bits": totals.total_goodput_bits,
-        "retransmitted_bits": totals.total_retransmitted_bits,
-        "retries": totals.retries,
-        "timeouts": totals.timeouts,
-        "resumes": totals.resumes,
-        "goodput_overhead_pct": (
-            (result.total_bits - totals.total_goodput_bits)
-            / totals.total_goodput_bits * 100
-            if totals.total_goodput_bits else 0.0),
+        "scenario": cell.scenario,
+        "protocol": cell.protocol,
+        "n_sites": cell.n_sites,
+        **({"n_objects": cell.n_objects, "batch_size": cell.batch_size}
+           if cell.n_objects is not None else {}),
+        **cell.fields,
+        "sessions": measured.sessions,
+        "updates": measured.updates,
+        "updates_deferred": measured.updates_deferred,
+        "reconciliations": measured.reconciliations,
+        "total_bits": totals.total_bits,
         "traffic": totals.summary(),
-        "bits_per_session": {
-            "mean": sum(per_session) / len(per_session) if per_session else 0,
-            "p50": ranked[len(ranked) // 2] if ranked else 0,
-            "p90": ranked[min(len(ranked) - 1, (9 * len(ranked)) // 10)]
-                   if ranked else 0,
-            "max": ranked[-1] if ranked else 0,
-        },
-        "sim_completion_seconds": result.completion_time,
+        "bits_per_session": _bits_per_session(measured.per_session),
+        "sim_completion_seconds": measured.completion_time,
         "wall_seconds": wall_seconds,
-        "max_queue_wait_seconds": result.max_queue_wait,
-        "consistent": result.consistent(),
+        "max_queue_wait_seconds": measured.max_queue_wait,
+        "consistent": measured.consistent,
+        **measured.extra,
     }
+    if cell.per_object:
+        synced_objects = measured.sessions * cell.n_objects
+        record["wire_bits_per_object"] = (totals.total_bits / synced_objects
+                                          if synced_objects else 0.0)
+    if cell.reliability:
+        goodput = totals.total_goodput_bits
+        record.update(
+            goodput_bits=goodput,
+            retransmitted_bits=totals.total_retransmitted_bits,
+            retries=totals.retries, timeouts=totals.timeouts,
+            resumes=totals.resumes,
+            goodput_overhead_pct=((totals.total_bits - goodput) / goodput
+                                  * 100 if goodput else 0.0))
+    return record, metrics
 
 
-def _assert_scheduling_independent(sites: Sequence[str],
-                                   cluster_config: ClusterConfig,
-                                   result: ClusterResult, *,
-                                   shards: Optional[ShardMap] = None
-                                   ) -> None:
+def _assert_scheduling_independent(runner: ClusterRunner,
+                                   result: ClusterResult) -> None:
     """Concurrent and sequential execution must move identical bits."""
-    sequential, _ = replay_sequential(sites, cluster_config, result.log,
-                                      shards=shards)
+    sequential, _ = replay_sequential(runner.sites, runner.config,
+                                      result.log, shards=runner.shards)
     concurrent_bits = result.per_session_bits()
     sequential_bits = [r.stats.total_bits for r in sequential]
     if concurrent_bits != sequential_bits:
@@ -619,62 +535,6 @@ def _assert_scheduling_independent(sites: Sequence[str],
             f"{len(mismatches)} of {len(concurrent_bits)} sessions differ "
             f"(first at index {mismatches[0] if mismatches else '?'}) — "
             f"this falsifies the harness, not the workload")
-
-
-#: One grid cell: ``("gossip", protocol, n_sites)``,
-#: ``("batched", batch_size)``, ``("chaos", protocol, loss_rate)``,
-#: ``("store",)``, or ``("multiregion",)``.
-#: The grid order *is* the document's run order, whether cells run
-#: serially or fan out across workers.
-_BenchTask = Tuple[Any, ...]
-
-
-def _task_grid(config: BenchConfig) -> List[_BenchTask]:
-    tasks: List[_BenchTask] = [("gossip", protocol, n_sites)
-                               for n_sites in config.site_counts
-                               for protocol in config.protocols]
-    tasks.extend(("batched", batch_size)
-                 for batch_size in config.batched_sizes)
-    tasks.extend(("chaos", protocol, loss)
-                 for loss in config.chaos_loss_rates
-                 for protocol in config.protocols)
-    if config.store_ops > 0:
-        tasks.append(("store",))
-    if config.topology is not None and config.mr_objects > 0:
-        tasks.append(("multiregion",))
-    return tasks
-
-
-def _run_task(task_and_config: Tuple[_BenchTask, BenchConfig, bool, bool]
-              ) -> Tuple[Dict[str, Any], MetricsRegistry]:
-    """Execute one grid cell with a private registry (pool-picklable).
-
-    Every cell derives its schedules from ``config.seed`` alone — no
-    state is shared between cells — so the record is identical whether
-    the cell runs in the parent or in a pool worker.  ``monitor`` and
-    ``analyze`` ride along as plain flags (not ``BenchConfig`` fields —
-    the config is embedded in the document, and neither observation mode
-    may move the default fingerprint); opted-in cells embed only the
-    picklable digest.
-    """
-    task, config, monitor, analyze = task_and_config
-    metrics = MetricsRegistry()
-    if task[0] == "gossip":
-        record = _run_one(task[1], task[2], config, metrics=metrics,
-                          monitor=monitor, analyze=analyze)
-    elif task[0] == "chaos":
-        record = _run_chaos_one(task[1], task[2], config, metrics=metrics,
-                                monitor=monitor, analyze=analyze)
-    elif task[0] == "store":
-        record = _run_store_one(config, metrics=metrics,
-                                monitor=monitor, analyze=analyze)
-    elif task[0] == "multiregion":
-        record = _run_multiregion_one(config, metrics=metrics,
-                                      monitor=monitor, analyze=analyze)
-    else:
-        record = _run_batched_one(task[1], config, metrics=metrics,
-                                  monitor=monitor, analyze=analyze)
-    return record, metrics
 
 
 def _echo_record(echo: Any, record: Dict[str, Any]) -> None:
@@ -730,12 +590,13 @@ def run_cluster_bench(config: BenchConfig = BenchConfig(), *,
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = [(task, config, monitor, analyze) for task in _task_grid(config)]
+    tasks = [(cell, config, monitor, analyze)
+             for cell in _scenario_table(config)]
     if workers > 1 and len(tasks) > 1:
         with multiprocessing.Pool(min(workers, len(tasks))) as pool:
-            outcomes = pool.map(_run_task, tasks)
+            outcomes = pool.map(_run_cell, tasks)
     else:
-        outcomes = [_run_task(task) for task in tasks]
+        outcomes = [_run_cell(task) for task in tasks]
     runs: List[Dict[str, Any]] = []
     for record, task_metrics in outcomes:
         runs.append(record)
@@ -804,168 +665,105 @@ def format_bench_table(document: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def bench_main(argv: List[str]) -> int:
-    """``python -m repro bench [--sites CSV] [--workers N] ...``."""
-    site_counts: Tuple[int, ...] = DEFAULT_SITE_COUNTS
-    protocols: Tuple[str, ...] = ("brv", "crv", "srv")
-    rounds = 3
-    seed = 0
-    out = DEFAULT_OUTPUT
-    workers = 1
-    profile = False
-    monitor = False
-    analyze = False
-    profile_out = "bench.pstats"
-    chaos_loss_rates: Tuple[float, ...] = BenchConfig().chaos_loss_rates
-    chaos_seed = BenchConfig().chaos_seed
-    store_ops = BenchConfig().store_ops
-    backend = BenchConfig().backend
-    topology: Optional[TopologySpec] = BenchConfig().topology
+def _at_least(minimum: int) -> Callable[[str], int]:
+    return checked(int, lambda n: n >= minimum, f">= {minimum}")
 
-    def fail(message: str) -> int:
-        print(message)
-        print("usage: python -m repro bench [--sites 8,32,128] "
-              "[--protocols brv,crv,srv] [--backend array|linked] "
-              "[--rounds N] [--seed N] "
-              "[--workers N] [--profile] [--profile-out bench.pstats] "
-              "[--chaos-loss 0.01,0.1] [--chaos-seed N] [--no-chaos] "
-              "[--store-ops N] [--no-store] [--no-multiregion] "
-              "[--monitor] [--analyze] [--out BENCH_cluster.json]")
-        return 2
 
-    index = 0
-    while index < len(argv):
-        argument = argv[index]
-        if argument == "--profile":
-            profile = True
-            index += 1
-        elif argument == "--monitor":
-            monitor = True
-            index += 1
-        elif argument == "--analyze":
-            analyze = True
-            index += 1
-        elif argument == "--no-chaos":
-            chaos_loss_rates = ()
-            index += 1
-        elif argument == "--no-store":
-            store_ops = 0
-            index += 1
-        elif argument == "--no-multiregion":
-            topology = None
-            index += 1
-        elif argument in ("--sites", "--protocols", "--backend", "--rounds",
-                          "--seed", "--workers", "--profile-out", "--out",
-                          "--chaos-loss", "--chaos-seed", "--store-ops"):
-            if index + 1 >= len(argv):
-                return fail(f"{argument} requires a value")
-            value = argv[index + 1]
-            if argument == "--sites":
-                try:
-                    site_counts = tuple(int(part)
-                                        for part in value.split(","))
-                except ValueError:
-                    return fail(f"--sites expects integers, got {value!r}")
-                if any(n < 2 for n in site_counts):
-                    return fail("--sites values must be >= 2")
-            elif argument == "--protocols":
-                protocols = tuple(value.split(","))
-                unknown = [p for p in protocols
-                           if p not in ("brv", "crv", "srv")]
-                if unknown:
-                    return fail(f"unknown protocols: {', '.join(unknown)}")
-            elif argument == "--backend":
-                if value not in ("array", "linked"):
-                    return fail(f"unknown backend {value!r}; "
-                                f"expected array or linked")
-                backend = value
-            elif argument == "--rounds":
-                try:
-                    rounds = int(value)
-                except ValueError:
-                    return fail(f"--rounds expects an integer, got {value!r}")
-            elif argument == "--seed":
-                try:
-                    seed = int(value)
-                except ValueError:
-                    return fail(f"--seed expects an integer, got {value!r}")
-            elif argument == "--workers":
-                try:
-                    workers = int(value)
-                except ValueError:
-                    return fail(f"--workers expects an integer, "
-                                f"got {value!r}")
-                if workers < 1:
-                    return fail("--workers must be >= 1")
-            elif argument == "--profile-out":
-                profile_out = value
-            elif argument == "--chaos-loss":
-                try:
-                    chaos_loss_rates = tuple(float(part)
-                                             for part in value.split(","))
-                except ValueError:
-                    return fail(f"--chaos-loss expects floats, got {value!r}")
-                if any(not 0 <= rate <= 1 for rate in chaos_loss_rates):
-                    return fail("--chaos-loss rates must be in [0, 1]")
-            elif argument == "--chaos-seed":
-                try:
-                    chaos_seed = int(value)
-                except ValueError:
-                    return fail(f"--chaos-seed expects an integer, "
-                                f"got {value!r}")
-            elif argument == "--store-ops":
-                try:
-                    store_ops = int(value)
-                except ValueError:
-                    return fail(f"--store-ops expects an integer, "
-                                f"got {value!r}")
-                if store_ops < 0:
-                    return fail("--store-ops must be >= 0")
-            else:
-                out = value
-            index += 2
-        else:
-            return fail(f"unknown argument {argument!r}")
-    config = BenchConfig(site_counts=site_counts, protocols=protocols,
-                         backend=backend, rounds=rounds, seed=seed,
-                         chaos_loss_rates=chaos_loss_rates,
-                         chaos_seed=chaos_seed, store_ops=store_ops,
-                         topology=topology)
+def _bench_parser() -> argparse.ArgumentParser:
+    defaults = BenchConfig()
+    parser = argparse.ArgumentParser(
+        prog="repro bench",
+        description="Run the cluster benchmark sweep and write the "
+                    "schema-validated BENCH_cluster.json document.")
+    add = parser.add_argument
+    add("--sites", dest="site_counts", metavar="N,...",
+        type=csv_list(_at_least(2)), default=defaults.site_counts,
+        help="gossip fleet sizes (default: 8,32,128)")
+    add("--protocols", metavar="P,...", type=protocol_list,
+        default=defaults.protocols,
+        help="gossip and chaos schemes (default: brv,crv,srv)")
+    add("--backend", choices=("array", "linked"), default=defaults.backend,
+        help="vector storage backend (default: array)")
+    add("--rounds", metavar="N", type=_at_least(1), default=defaults.rounds,
+        help="gossip rounds per cell (default: 3)")
+    add("--seed", metavar="N", type=int, default=defaults.seed,
+        help="workload seed (default: 0)")
+    add("--workers", metavar="N", type=_at_least(1), default=1,
+        help="processes the cells fan out over (default: 1)")
+    add("--profile", action="store_true",
+        help="run serially under cProfile; print the top 20 functions")
+    add("--profile-out", metavar="PATH", default="bench.pstats",
+        help="profile dump (default: bench.pstats)")
+    add("--chaos-loss", dest="chaos_loss_rates", metavar="F,...",
+        type=csv_list(checked(float, lambda rate: 0 <= rate <= 1,
+                              "in [0, 1]")),
+        default=defaults.chaos_loss_rates,
+        help="loss rates of the chaos cells (default: 0.01,0.1)")
+    add("--no-chaos", dest="chaos_loss_rates", action="store_const",
+        const=(), help="skip the chaos cells")
+    add("--chaos-seed", metavar="N", type=int, default=defaults.chaos_seed,
+        help="fault-injection seed (default: 11)")
+    add("--store-ops", metavar="N", type=_at_least(0),
+        default=defaults.store_ops,
+        help="client ops of the store cell; 0 skips it (default: 2000)")
+    add("--no-store", dest="store_ops", action="store_const", const=0,
+        help="skip the store cell")
+    add("--no-multiregion", dest="topology", action="store_const",
+        const=None, default=defaults.topology,
+        help="skip the multi-region sharded cell")
+    add("--monitor", action="store_true",
+        help="embed a health-monitor digest in every cell")
+    add("--analyze", action="store_true",
+        help="embed every cell's causal critical path")
+    add("--out", metavar="PATH", default=DEFAULT_OUTPUT,
+        help="output document (default: BENCH_cluster.json)")
+    return parser
+
+
+def bench_main(argv: Optional[List[str]] = None) -> int:
+    """``python -m repro bench [--sites CSV] [--workers N] ...``.
+
+    Exit codes: 0 — document written; 2 — bad argument.
+    """
+    args = parse_args(_bench_parser(), argv)
+    if isinstance(args, int):
+        return args
+    config = BenchConfig(site_counts=args.site_counts,
+                         protocols=args.protocols, backend=args.backend,
+                         rounds=args.rounds, seed=args.seed,
+                         chaos_loss_rates=args.chaos_loss_rates,
+                         chaos_seed=args.chaos_seed,
+                         store_ops=args.store_ops, topology=args.topology)
+    topology = config.topology
     multiregion = ("off" if topology is None
                    else f"{len(topology.regions)}×"
                         f"{topology.regions[0].sites} sites")
-    print(f"cluster bench: n ∈ {list(site_counts)}, "
-          f"protocols {list(protocols)}, backend {backend}, "
-          f"{rounds} rounds, seed {seed}, "
-          f"chaos loss {list(chaos_loss_rates)}, store ops {store_ops}, "
-          f"multi-region {multiregion}")
-    if profile:
+    print(f"cluster bench: n ∈ {list(config.site_counts)}, "
+          f"protocols {list(config.protocols)}, backend {config.backend}, "
+          f"{config.rounds} rounds, seed {config.seed}, "
+          f"chaos loss {list(config.chaos_loss_rates)}, "
+          f"store ops {config.store_ops}, multi-region {multiregion}")
+    workers, profiler = args.workers, contextlib.nullcontext()
+    if args.profile:
         # Profiling a process pool attributes everything to pickling and
         # waiting; force the serial path so the numbers mean something.
-        if workers > 1:
+        if args.workers > 1:
             print("profiling forces --workers 1")
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            document = run_cluster_bench(config, echo=print,
-                                         monitor=monitor, analyze=analyze)
-        finally:
-            profiler.disable()
-        profiler.dump_stats(profile_out)
-    else:
+        workers, profiler = 1, cProfile.Profile()
+    with profiler:
         document = run_cluster_bench(config, echo=print, workers=workers,
-                                     monitor=monitor, analyze=analyze)
-    path = write_bench(document, out)
+                                     monitor=args.monitor,
+                                     analyze=args.analyze)
+    if args.profile:
+        profiler.dump_stats(args.profile_out)
+    path = write_bench(document, args.out)
     print()
     print(format_bench_table(document))
     print(f"\nwrote {path} ({SCHEMA_ID})")
     print(f"fingerprint {bench_fingerprint(document)}")
-    if profile:
-        print(f"\nprofile written to {profile_out}; top 20 by cumulative "
-              f"time:")
-        stats = pstats.Stats(profile_out)
+    if args.profile:
+        print(f"\nprofile written to {args.profile_out}; top 20 by "
+              f"cumulative time:")
+        stats = pstats.Stats(args.profile_out)
         stats.sort_stats("cumulative").print_stats(20)
     return 0

@@ -19,13 +19,13 @@ traffic change reviewable in the diff.
 
 from __future__ import annotations
 
-import json
-import sys
+import argparse
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.cliargs import parse_args
 from repro.perf.bench import bench_fingerprint
-from repro.perf.schema import validate_bench
+from repro.perf.schema import load_bench
 
 #: Identity of one run within a document (None fields when absent).
 #: Chaos cells add their loss rate and fault seed so two chaos runs of
@@ -153,16 +153,6 @@ def format_comparison(comparison: Comparison) -> str:
     return "\n".join(lines)
 
 
-def _load(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    errors = validate_bench(document)
-    if errors:
-        raise ValueError(f"{path} is not a valid bench document: "
-                         f"{'; '.join(errors)}")
-    return document
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """``python -m repro.perf.compare OLD NEW [--require-same-bits]``.
 
@@ -172,27 +162,30 @@ def main(argv: Optional[List[str]] = None) -> int:
     run that broke its own accounting cannot pass any gate);
     2 — usage or unreadable/invalid documents.
     """
-    arguments = list(sys.argv[1:] if argv is None else argv)
-    require_same = "--require-same-bits" in arguments
-    paths = [a for a in arguments if a != "--require-same-bits"]
-    if len(paths) != 2:
-        print("usage: python -m repro.perf.compare OLD.json NEW.json "
-              "[--require-same-bits]")
-        return 2
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.perf.compare",
+        description="Diff two bench documents run by run.")
+    parser.add_argument("old", metavar="OLD.json")
+    parser.add_argument("new", metavar="NEW.json")
+    parser.add_argument("--require-same-bits", action="store_true",
+                        help="exit 1 if any run moved wire bits")
+    args = parse_args(parser, argv)
+    if isinstance(args, int):
+        return args
     try:
-        old, new = _load(paths[0]), _load(paths[1])
-    except (OSError, json.JSONDecodeError, ValueError) as error:
+        old, new = load_bench(args.old), load_bench(args.new)
+    except (OSError, ValueError) as error:
         print(error)
         return 2
     comparison = compare_documents(old, new)
-    print(f"old: {paths[0]}\nnew: {paths[1]}\n")
+    print(f"old: {args.old}\nnew: {args.new}\n")
     print(format_comparison(comparison))
     if comparison.invariants_violated:
         print("\nthe new document records invariant violations; the "
               "measurements cannot be trusted — fix the regression "
               "before comparing numbers")
         return 1
-    if require_same and comparison.bits_changed:
+    if args.require_same_bits and comparison.bits_changed:
         print("\nwire traffic changed; regenerate and commit the bench "
               "document if this is intended")
         return 1

@@ -31,9 +31,12 @@ vectors on every site after the final sweep), 1 otherwise — or on a
 
 from __future__ import annotations
 
+import argparse
 import json
+from dataclasses import replace
 from typing import List, Optional
 
+from repro.cliargs import checked, parse_args
 from repro.errors import InvariantViolationError, ReproError
 from repro.workload.clients import StoreWorkloadConfig, run_store_workload
 
@@ -120,96 +123,82 @@ DEMO_CONFIG = StoreWorkloadConfig(n_sites=8, n_keys=32, n_clients=64,
                                   ops=20_000, op_interval=0.0005, seed=0)
 
 
-def store_main(argv: List[str]) -> int:
-    """``python -m repro store [--demo] [--monitor] [--sites N] ...``."""
-    demo = False
-    monitor_on = False
-    strict = False
-    visibility_k: Optional[int] = None
-    exports = {"--prom": None, "--otlp": None, "--html": None,
-               "--consistency": None, "--trace": None}
-    overrides: dict = {}
+#: ``(flag, StoreWorkloadConfig field, type, help)``: each flag overrides
+#: one field of the base config (the library defaults, or ``--demo``).
+_WORKLOAD_FLAGS = (("--sites", "n_sites", int, "store sites"),
+                   ("--keys", "n_keys", int, "keys"),
+                   ("--clients", "n_clients", int, "clients"),
+                   ("--ops", "ops", int, "client operations"),
+                   ("--read-ratio", "read_ratio", float, "read fraction"),
+                   ("--zipf", "zipf", float, "key-popularity skew"),
+                   ("--loss", "loss_rate", float, "nominal chaos loss rate"),
+                   ("--protocol", "protocol", str, "brv, crv or srv"),
+                   ("--seed", "seed", int, "workload seed"))
 
-    def fail(message: str) -> int:
-        print(message)
-        print("usage: python -m repro store [--demo] [--sites N] [--keys N] "
-              "[--clients N] [--ops N] [--read-ratio F] [--zipf F] "
-              "[--loss F] [--protocol brv|crv|srv] [--seed N] "
-              "[--monitor] [--strict-consistency] [--visibility-k N] "
-              "[--prom PATH] [--otlp PATH] [--html PATH] "
-              "[--consistency PATH] [--trace PATH]")
-        return 2
+#: ``(flag, help)``: each writes one file.
+_EXPORT_FLAGS = (("--prom", "Prometheus text-format dump"),
+                 ("--otlp", "OTLP-style JSON export (schema-validated)"),
+                 ("--html", "self-contained HTML report"),
+                 ("--consistency", "consistency digest as JSON"),
+                 ("--trace", "full trace as JSONL"))
 
-    flags = {"--sites": ("n_sites", int), "--keys": ("n_keys", int),
-             "--clients": ("n_clients", int), "--ops": ("ops", int),
-             "--read-ratio": ("read_ratio", float),
-             "--zipf": ("zipf", float), "--loss": ("loss_rate", float),
-             "--protocol": ("protocol", str), "--seed": ("seed", int)}
-    index = 0
-    while index < len(argv):
-        argument = argv[index]
-        if argument == "--demo":
-            demo = True
-            index += 1
-        elif argument == "--monitor":
-            monitor_on = True
-            index += 1
-        elif argument == "--strict-consistency":
-            monitor_on = True
-            strict = True
-            index += 1
-        elif argument == "--visibility-k":
-            if index + 1 >= len(argv):
-                return fail(f"{argument} requires a value")
-            try:
-                visibility_k = int(argv[index + 1])
-            except ValueError:
-                return fail(f"{argument} expects int, "
-                            f"got {argv[index + 1]!r}")
-            monitor_on = True
-            index += 2
-        elif argument in exports:
-            if index + 1 >= len(argv):
-                return fail(f"{argument} requires a value")
-            exports[argument] = argv[index + 1]
-            monitor_on = True
-            index += 2
-        elif argument in flags:
-            if index + 1 >= len(argv):
-                return fail(f"{argument} requires a value")
-            name, parse = flags[argument]
-            try:
-                overrides[name] = parse(argv[index + 1])
-            except ValueError:
-                return fail(f"{argument} expects {parse.__name__}, "
-                            f"got {argv[index + 1]!r}")
-            index += 2
-        else:
-            return fail(f"unknown argument {argument!r}")
 
+def _store_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro store",
+        description="Run one seeded client workload against a replicated "
+                    "store fleet and print a deterministic report.  Exits "
+                    "0 iff the fleet converged.")
+    parser.add_argument("--demo", action="store_true",
+                        help="start from the 8-site, 20k-op demo preset")
+    for flag, name, kind, text in _WORKLOAD_FLAGS:
+        parser.add_argument(flag, dest=name, type=kind, help=text,
+                            metavar={int: "N", float: "F"}.get(kind, "P"))
+    observe = parser.add_argument_group(
+        "observatory", "every flag below implies --monitor")
+    observe.add_argument("--monitor", action="store_true",
+                         help="attach the consistency observatory")
+    observe.add_argument("--strict-consistency", action="store_true",
+                         help="exit 1 on the first guarantee violation")
+    observe.add_argument("--visibility-k", metavar="N",
+                         type=checked(int, lambda k: k >= 1, ">= 1"),
+                         help="replicas a write must reach for w_k")
+    for flag, text in _EXPORT_FLAGS:
+        observe.add_argument(flag, metavar="PATH", help=f"write the {text}")
+    return parser
+
+
+def store_main(argv: Optional[List[str]] = None) -> int:
+    """``python -m repro store [--demo] [--monitor] [--sites N] ...``.
+
+    Exit codes: 0 — converged; 1 — diverged, a ``--strict-consistency``
+    abort, or an export failing validation; 2 — bad argument.
+    """
+    args = parse_args(_store_parser(), argv)
+    if isinstance(args, int):
+        return args
     monitor = None
-    if monitor_on:
+    if (args.monitor or args.strict_consistency
+            or args.visibility_k is not None
+            or any(getattr(args, flag[2:]) is not None
+                   for flag, _ in _EXPORT_FLAGS)):
         from repro.obs.consistency import (ConsistencyConfig,
                                            ConsistencyMonitor)
-        try:
-            monitor_config = (
-                ConsistencyConfig(strict=strict, visibility_k=visibility_k)
-                if visibility_k is not None
-                else ConsistencyConfig(strict=strict))
-        except ValueError as error:
-            return fail(str(error))
-        monitor = ConsistencyMonitor(monitor_config)
+        observatory = ConsistencyConfig(strict=args.strict_consistency)
+        if args.visibility_k is not None:
+            observatory = replace(observatory, visibility_k=args.visibility_k)
+        monitor = ConsistencyMonitor(observatory)
     tracer = None
-    if exports["--trace"] is not None:
+    if args.trace is not None:
         from repro.obs.trace import Tracer
         tracer = Tracer()
 
-    base = DEMO_CONFIG if demo else StoreWorkloadConfig()
+    base = DEMO_CONFIG if args.demo else StoreWorkloadConfig()
+    overrides = {name: getattr(args, name)
+                 for _, name, _, _ in _WORKLOAD_FLAGS
+                 if getattr(args, name) is not None}
     try:
-        config = StoreWorkloadConfig(
-            **{**{name: getattr(base, name)
-                  for name in StoreWorkloadConfig.__dataclass_fields__},
-               **overrides})
+        config = replace(base, **overrides)
         result = run_store_workload(config, monitor=monitor, tracer=tracer)
     except InvariantViolationError as error:
         print(f"ABORTED: {error}")
@@ -219,13 +208,14 @@ def store_main(argv: List[str]) -> int:
         return 2
     print(format_store_report(result))
     if monitor is not None and not _write_exports(
-            result, monitor, exports,
+            result, monitor, args,
             tracer if tracer is not None else monitor.tracer):
         return 1
     return 0 if result.converged else 1
 
 
-def _write_exports(result, monitor, exports: dict, tracer) -> bool:
+def _write_exports(result, monitor, args: argparse.Namespace,
+                   tracer) -> bool:
     """Write the requested export files from the run's ``tracer``;
     False on a validation failure."""
     from repro.obs.dashboard import render_consistency_html_report
@@ -233,31 +223,29 @@ def _write_exports(result, monitor, exports: dict, tracer) -> bool:
     label = f"store:{result.config.protocol}"
     if not write_exports(
             tracer=tracer, metrics=result.metrics,
-            consistency=monitor, prom=exports["--prom"],
-            otlp=exports["--otlp"], html=exports["--html"],
+            consistency=monitor, prom=args.prom, otlp=args.otlp,
+            html=args.html,
             render_html=lambda: render_consistency_html_report(
                 {label: monitor}),
             service_name="repro-store"):
         return False
-    if exports["--consistency"] is not None:
+    if args.consistency is not None:
         from repro.obs.consistency import validate_consistency
         digest = result.consistency
         if report_invalid("consistency digest",
                           validate_consistency(digest)):
             return False
-        with open(exports["--consistency"], "w", encoding="utf-8") as handle:
+        with open(args.consistency, "w", encoding="utf-8") as handle:
             json.dump(digest, handle, indent=2, sort_keys=True)
-        print(f"wrote consistency digest to {exports['--consistency']}")
-    if exports["--trace"] is not None:
+        print(f"wrote consistency digest to {args.consistency}")
+    if args.trace is not None:
         from repro.obs.export import write_jsonl
-        count = write_jsonl(tracer.events, exports["--trace"])
-        print(f"wrote {count} trace events to {exports['--trace']} "
-              f"(render with: python -m repro trace {exports['--trace']} "
+        count = write_jsonl(tracer.events, args.trace)
+        print(f"wrote {count} trace events to {args.trace} "
+              f"(render with: python -m repro trace {args.trace} "
               f"--filter put,get,delete,read_repair,consistency_violation)")
     return True
 
 
 if __name__ == "__main__":
-    import sys
-
-    raise SystemExit(store_main(sys.argv[1:]))
+    raise SystemExit(store_main())

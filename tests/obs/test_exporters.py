@@ -202,6 +202,26 @@ class TestSchemaValidator:
         errors = validate([1, "two", 3], schema)
         assert errors == ["$[1]: expected integer, got str"]
 
+    def test_maximum_and_min_items(self):
+        schema = {"type": "array", "minItems": 1,
+                  "items": {"type": "number", "maximum": 1}}
+        assert validate([0.5, 1], schema) == []
+        assert validate([2], schema) == ["$[0]: 2 > maximum 1"]
+        assert validate([], schema) == ["$: 0 item(s) < minItems 1"]
+
+    def test_additional_properties_constrain_unlisted_keys(self):
+        schema = {"type": "object", "properties": {"n": {"type": "string"}},
+                  "additionalProperties": {"type": "number", "minimum": 0}}
+        assert validate({"n": "x", "a": 1.5}, schema) == []
+        assert validate({"n": "x", "a": -1}, schema) == ["$.a: -1 < minimum 0"]
+
+    def test_ref_names_a_packaged_schema(self):
+        schema = {"properties": {"digest": {
+            "$ref": "repro.obs.consistency.schema.json"}}}
+        errors = validate({"digest": {}}, schema)
+        assert errors and all(e.startswith("$.digest:") for e in errors)
+        assert any("missing required key" in e for e in errors)
+
     def test_bad_span_id_rejected(self):
         document = to_otlp(tracer=Tracer())
         document["resourceSpans"][0]["scopeSpans"][0]["spans"] = [{

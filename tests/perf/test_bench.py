@@ -516,10 +516,13 @@ class TestBenchCli:
         ["--workers", "zero"],             # not an integer
         ["--workers", "0"],                # below minimum
         ["--frobnicate"],                  # unknown flag
+        ["--rounds", "0"],                 # no gossip round to run
+        ["--sites", "4,4"],                # duplicate grid value
+        ["--protocols", "srv,srv"],        # duplicate grid value
     ])
     def test_bad_arguments_exit_2(self, argv, capsys):
         assert bench_main(argv) == 2
-        assert "usage" in capsys.readouterr().out
+        assert "usage" in capsys.readouterr().err
 
     def test_dispatch_through_module_main(self, tmp_path, capsys,
                                           monkeypatch):

@@ -111,7 +111,7 @@ class TestCompareCli:
 
     def test_usage_and_invalid_documents_exit_2(self, tmp_path, capsys):
         assert compare_main(["only-one.json"]) == 2
-        assert "usage" in capsys.readouterr().out
+        assert "usage" in capsys.readouterr().err
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": "nope"}))
         assert compare_main([str(bad), str(bad)]) == 2

@@ -2,8 +2,15 @@
 
 import copy
 import json
+import pathlib
 
-from repro.perf.schema import SCHEMA_ID, main, validate_bench, validate_file
+import pytest
+
+from repro.obs.otlp_schema import load_schema, validate
+from repro.perf.schema import (SCHEMA_ID, InvalidBenchDocument, load_bench,
+                               main, validate_bench, validate_file)
+
+COMMITTED = pathlib.Path(__file__).resolve().parents[2] / "BENCH_cluster.json"
 
 VALID_RUN = {
     "scenario": "multi-writer-gossip",
@@ -45,20 +52,20 @@ class TestValidateBench:
         assert validate_bench(VALID_DOC) == []
 
     def test_non_object_document(self):
-        assert validate_bench([1, 2]) \
-            == ["document must be an object, got list"]
+        assert validate_bench([1, 2]) == ["$: expected object, got list"]
 
     def test_wrong_schema_id(self):
         doc = dict(VALID_DOC, schema="repro.bench.cluster/0")
-        assert any("'schema'" in e for e in validate_bench(doc))
+        assert any("$.schema" in e for e in validate_bench(doc))
 
     def test_missing_runs(self):
         doc = dict(VALID_DOC, runs=[])
-        assert any("non-empty" in e for e in validate_bench(doc))
+        assert any("$.runs" in e and "minItems" in e
+                   for e in validate_bench(doc))
 
     def test_unknown_protocol(self):
         errors = validate_bench(doc_with(protocol="vv"))
-        assert any("'protocol'" in e for e in errors)
+        assert any(".protocol" in e for e in errors)
 
     def test_missing_count_field(self):
         doc = doc_with()
@@ -67,11 +74,12 @@ class TestValidateBench:
 
     def test_float_where_integer_required(self):
         errors = validate_bench(doc_with(sessions=24.5))
-        assert any("sessions" in e and "an integer" in e for e in errors)
+        assert any("sessions" in e and "expected integer" in e
+                   for e in errors)
 
     def test_negative_seconds(self):
         errors = validate_bench(doc_with(wall_seconds=-0.1))
-        assert any("wall_seconds" in e and ">= 0" in e for e in errors)
+        assert any("wall_seconds" in e and "minimum 0" in e for e in errors)
 
     def test_bool_is_not_a_number(self):
         errors = validate_bench(doc_with(total_bits=True))
@@ -79,7 +87,7 @@ class TestValidateBench:
 
     def test_total_bits_cross_check(self):
         errors = validate_bench(doc_with(total_bits=1))
-        assert any("disagrees" in e for e in errors)
+        assert any("must equal traffic.total_bits" in e for e in errors)
 
     def test_missing_consistent_flag(self):
         doc = doc_with()
@@ -128,7 +136,7 @@ class TestCli:
 
     def test_no_arguments(self, capsys):
         assert main([]) == 2
-        assert "usage" in capsys.readouterr().out
+        assert "usage" in capsys.readouterr().err
 
 
 HEALTH = {
@@ -156,18 +164,18 @@ class TestClientRunFields:
 
     def test_client_must_be_an_object(self):
         errors = validate_bench(doc_with(client=7))
-        assert any("'client' must be an object" in e for e in errors)
+        assert any("client: expected object" in e for e in errors)
 
     def test_non_integer_count_rejected(self):
         client = dict(copy.deepcopy(CLIENT), read_repairs=1.5)
         errors = validate_bench(doc_with(client=client))
-        assert any("read_repairs" in e and "an integer" in e
+        assert any("read_repairs" in e and "expected integer" in e
                    for e in errors)
 
     def test_op_mix_must_add_up(self):
         client = dict(copy.deepcopy(CLIENT), reads=359)
         errors = validate_bench(doc_with(client=client))
-        assert any("must equal ops" in e for e in errors)
+        assert any("must equal client.ops" in e for e in errors)
 
     def test_missing_percentile_map_rejected(self):
         client = {k: v for k, v in copy.deepcopy(CLIENT).items()
@@ -195,7 +203,7 @@ class TestMonitoredRunFields:
 
     def test_health_must_be_an_object(self):
         errors = validate_bench(doc_with(health=7))
-        assert any("'health' must be an object" in e for e in errors)
+        assert any("health: expected object" in e for e in errors)
 
     def test_health_missing_scores_rejected(self):
         health = {k: v for k, v in HEALTH.items() if k != "final_scores"}
@@ -206,7 +214,8 @@ class TestMonitoredRunFields:
         health = dict(copy.deepcopy(HEALTH), invariant_violations=3)
         errors = validate_bench(doc_with(invariant_violations=0,
                                          health=health))
-        assert any("disagrees with" in e for e in errors)
+        assert any("must equal health.invariant_violations" in e
+                   for e in errors)
 
 
 def _consistency_block():
@@ -243,11 +252,56 @@ class TestConsistencyRunFields:
 
     def test_consistency_must_be_an_object(self):
         errors = validate_bench(doc_with(consistency=7))
-        assert any("'consistency' must be an object" in e for e in errors)
+        assert any("consistency: expected object" in e for e in errors)
 
     def test_broken_consistency_block_is_rerooted(self):
         block = _consistency_block()
         block.pop("w_all_seconds")
         errors = validate_bench(doc_with(consistency=block))
-        assert any(e.startswith("runs[0].consistency:")
+        assert any(e.startswith("$.runs[0].consistency:")
                    and "w_all_seconds" in e for e in errors)
+
+
+class TestSchemaFileAlone:
+    """The checked-in JSON schema accepts real documents by itself."""
+
+    SCHEMA = "repro.bench.cluster.schema.json"
+
+    def test_accepts_the_committed_document(self):
+        with open(COMMITTED, encoding="utf-8") as handle:
+            document = json.load(handle)
+        assert validate(document, load_schema(self.SCHEMA)) == []
+
+    def test_accepts_a_monitored_analyzed_document(self):
+        from repro.net.topology import LinkProfile, TopologySpec
+        from repro.perf.bench import BenchConfig, run_cluster_bench
+        tiny = BenchConfig(
+            site_counts=(3,), protocols=("brv", "srv"), rounds=1,
+            updates_per_site=1.0, batched_site_count=3, batched_objects=2,
+            batched_sizes=(2,), chaos_loss_rates=(0.1,), chaos_batch_size=2,
+            store_site_count=3, store_keys=3, store_clients=3,
+            store_ops=60,
+            topology=TopologySpec.grid(
+                2, 3, intra=LinkProfile(latency=0.002),
+                inter=LinkProfile(latency=0.02, loss=0.02), replication=2),
+            mr_objects=6, mr_rounds=1, mr_batch_size=2)
+        document = run_cluster_bench(tiny, monitor=True, analyze=True)
+        scenarios = {run["scenario"] for run in document["runs"]}
+        assert len(scenarios) == 6
+        assert any("consistency" in run for run in document["runs"])
+        assert validate(document, load_schema(self.SCHEMA)) == []
+
+
+class TestLoadBench:
+    def test_returns_a_valid_document(self, tmp_path):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(VALID_DOC))
+        assert load_bench(str(path)) == VALID_DOC
+
+    def test_invalid_document_carries_its_errors(self, tmp_path):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(dict(VALID_DOC, runs=[])))
+        with pytest.raises(InvalidBenchDocument) as caught:
+            load_bench(str(path))
+        assert "not a valid bench document" in str(caught.value)
+        assert caught.value.errors == validate_file(str(path))

@@ -49,8 +49,8 @@ class TestStoreMain:
     ])
     def test_bad_arguments_exit_2(self, argv, capsys):
         assert store_main(argv) == 2
-        out = capsys.readouterr().out
-        assert "usage" in out or "failed" in out
+        captured = capsys.readouterr()
+        assert "usage" in captured.err or "failed" in captured.out
 
     def test_dispatch_through_module_main(self, capsys):
         assert repro_main(["store"] + FAST) == 0

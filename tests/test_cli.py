@@ -38,11 +38,11 @@ class TestSeedFlag:
 
     def test_seed_requires_value(self, capsys):
         assert main(["fuzz", "--seed"]) == 2
-        assert "--seed requires a value" in capsys.readouterr().out
+        assert "--seed: expected one argument" in capsys.readouterr().err
 
     def test_seed_must_be_integer(self, capsys):
         assert main(["--seed", "xyz", "fuzz"]) == 2
-        assert "integer" in capsys.readouterr().out
+        assert "invalid int value" in capsys.readouterr().err
 
 
 class TestTrace:
@@ -77,7 +77,7 @@ class TestTraceFilter:
 
     def test_filter_requires_value(self, capsys):
         assert main(["trace", "fuzz", "--filter"]) == 2
-        assert "--filter requires a value" in capsys.readouterr().out
+        assert "--filter: expected one argument" in capsys.readouterr().err
 
     def test_usage_mentions_filter(self, capsys):
         main([])
@@ -112,7 +112,7 @@ class TestMonitorCommand:
 
     def test_unknown_protocol_exits_2(self, capsys):
         assert main(["monitor", "--protocols", "vv"]) == 2
-        assert "unknown protocol" in capsys.readouterr().out
+        assert "unknown protocol" in capsys.readouterr().err
 
 
 class TestTraceStats:
@@ -243,6 +243,13 @@ class TestHistoryCommand:
         assert "analyze" in out
         assert "history" in out
         assert "--stats" in out
+
+
+@pytest.mark.parametrize("command", ["bench", "store", "history", "monitor",
+                                     "analyze", "otlp-validate"])
+def test_subcommand_help_exits_0(command, capsys):
+    assert main([command, "--help"]) == 0
+    assert f"repro {command}" in capsys.readouterr().out
 
 
 class TestOtlpValidateCommand:
